@@ -50,6 +50,7 @@ from .kripke import (
     FrameReport,
     Model,
     enumerate_frames,
+    extension,
     frame_report,
     frame_to_dot,
     holds,

@@ -1,8 +1,11 @@
 """Batch command-line surface.
 
 Exit codes: 0 theorem / valid / check passed, 1 non-theorem / check
-failed, 2 usage or input errors, 3 size-guard rejection. With --json a
-single JSON document is written to stdout; diagnostics go to stderr.
+failed, 2 usage or input errors, 3 size-guard rejection (input nested
+too deeply to process included), 4 internal error: `decide --cert` reloads
+and verifies its certificate before writing it, and writes nothing if
+that re-check fails. With --json a single JSON document is written to
+stdout; diagnostics go to stderr.
 Formula arguments are taken inline, or from a file with @path.
 """
 
@@ -23,12 +26,19 @@ from .calculus import (
     proof_from_json,
     proof_to_json,
 )
-from .completeness import Theorem, certificate_to_json, decide
+from .completeness import (
+    Theorem,
+    certificate_from_json,
+    certificate_to_json,
+    decide,
+    verify_certificate,
+)
 from .limits import SizeGuardError
 from .syntax import Formula, ParseError, parse, print_formula
 
 USAGE_ERROR = 2
 GUARD_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _read_formula(arg: str) -> Formula:
@@ -60,7 +70,17 @@ def _cmd_decide(args) -> int:
         return 0
     cert = certificate_to_json(verdict)
     if args.cert:
-        Path(args.cert).write_text(json.dumps(cert, indent=2) + "\n")
+        text = json.dumps(cert, indent=2) + "\n"
+        problem = None
+        try:
+            if not verify_certificate(certificate_from_json(json.loads(text))):
+                problem = "the reloaded certificate does not verify"
+        except (KeyError, ValueError) as e:
+            problem = f"the certificate does not reload: {e}"
+        if problem:
+            print(f"internal error: {problem}; nothing written", file=sys.stderr)
+            return INTERNAL_ERROR
+        Path(args.cert).write_text(text)
     if args.dot:
         Path(args.dot).write_text(
             kripke.frame_to_dot(verdict.model.to_model().frame) + "\n"
@@ -72,7 +92,7 @@ def _cmd_decide(args) -> int:
 def _cmd_check_model(args) -> int:
     m, names = kripke.model_from_json(_load_json(args.model))
     f = _read_formula(args.formula)
-    failing = sorted(w for w in m.frame.worlds if not kripke.holds(m, f, w))
+    failing = sorted(m.frame.worlds - kripke.extension(m, f))
     doc = {"holds_in": not failing, "failing": [names[w] for w in failing]}
     if failing:
         _emit(args, "fails at: " + " ".join(doc["failing"]), doc)
@@ -218,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SizeGuardError as e:
         print(f"size guard: {e}", file=sys.stderr)
+        return GUARD_ERROR
+    except RecursionError:
+        print("size guard: input nested too deeply", file=sys.stderr)
         return GUARD_ERROR
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -338,9 +338,11 @@ def verify_certificate(v: Countermodel) -> bool:
     m = sm.to_model()
     if not kripke.is_itf(m.frame):
         return False
-    for i, w in enumerate(sm.worlds):
-        for q in ctx.closure:
-            if (q in w) != kripke.holds(m, q, i):
+    # World i of the model is sm.worlds[i]; extensions follow ctx.closure.
+    truth = kripke.extensions(m, ctx.target)
+    for q, ext in zip(ctx.closure, truth):
+        for i, w in enumerate(sm.worlds):
+            if (q in w) != (i in ext):
                 return False
     try:
         widx = sm.worlds.index(v.witness)
@@ -348,7 +350,7 @@ def verify_certificate(v: Countermodel) -> bool:
         return False
     if Not(ctx.target) not in v.witness:
         return False
-    return not kripke.holds(m, ctx.target, widx)
+    return widx not in truth[-1]
 
 
 def consistent(fs: Sequence[Formula]) -> bool:

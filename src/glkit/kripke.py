@@ -5,14 +5,18 @@ Validity on a frame quantifies over every valuation of the formula's
 atoms, so it is an exhaustive oracle and deliberately desk-scale only.
 Well-foundedness of the converse relation, undecidable in general, is
 replaced by acyclicity, which is equivalent on finite carriers.
+
+One bottom-up evaluator serves models and frames alike: it computes the
+truth set of every subformula as a bit mask, and sweeps a frame's
+valuations 2**12 at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping
+from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import Iterator, Mapping, NamedTuple
 
 from .limits import SizeGuardError
 from .syntax import (
@@ -26,8 +30,9 @@ from .syntax import (
     Not,
     Or,
     Truth,
-    atoms,
+    children,
     parse,
+    subformulas,
 )
 
 # Single-atom instance of the Lob schema; schema validity on a frame is
@@ -35,10 +40,33 @@ from .syntax import (
 LOB_INSTANCE = parse("Box (Box p --> p) --> Box p")
 
 
+class _Layout(NamedTuple):
+    """A frame's worlds in sorted order; a world's position is its bit."""
+
+    bit: dict[int, int]  # world id -> 1 << position, in sorted order
+    succ: tuple[tuple[int, ...], ...]  # successor positions, per position
+    box_masks: tuple[tuple[int, int], ...]  # (successor mask, own bit), per position
+
+
 @dataclass(frozen=True)
 class Frame:
     worlds: frozenset[int]
     rel: frozenset[tuple[int, int]]
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        # Pairs naming an undeclared world are not edges of the frame.
+        index = {w: i for i, w in enumerate(sorted(self.worlds))}
+        succ: list[list[int]] = [[] for _ in index]
+        for x, y in self.rel:
+            if x in index and y in index:
+                succ[index[x]].append(index[y])
+        succ_t = tuple(tuple(sorted(s)) for s in succ)
+        return _Layout(
+            {w: 1 << i for w, i in index.items()},
+            succ_t,
+            tuple((sum(1 << j for j in s), 1 << i) for i, s in enumerate(succ_t)),
+        )
 
 
 @dataclass(frozen=True, eq=True)
@@ -58,62 +86,176 @@ class FrameReport:
     validates_lob: bool
 
 
+# ---------------------------------------------------------------------------
+# Evaluation
+#
+# A formula is compiled once into a program over subformulas(f), which
+# lists children before parents. Running the program yields the truth of
+# every subformula as one int over a block of V valuations x n worlds,
+# world-major: bit w*V + v is the truth at world position w under
+# valuation v of the block. A model is the case V = 1.
+
+_FALSE, _TRUE, _ATOM, _NOT, _AND, _OR, _IMP, _IFF, _BOX = range(9)
+_OPS = {
+    Falsity: _FALSE, Truth: _TRUE, Atom: _ATOM, Not: _NOT, And: _AND,
+    Or: _OR, Imp: _IMP, Iff: _IFF, Box: _BOX,
+}
+
+# A frame sweep evaluates 2**_BLOCK_BITS valuations per program run.
+_BLOCK_BITS = 12
+
+_Steps = tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=32)
+def _compile(f: Formula) -> tuple[_Steps, tuple[str, ...]]:
+    """Steps (op, a, b) aligned with subformulas(f); a and b index earlier
+    steps, or for an atom step, a indexes the sorted atom names."""
+    subs = subformulas(f)
+    pos = {g: i for i, g in enumerate(subs)}
+    names = tuple(sorted({g.name for g in subs if isinstance(g, Atom)}))
+    steps = []
+    for g in subs:
+        op = _OPS[type(g)]
+        if op == _ATOM:
+            steps.append((op, names.index(g.name), 0))
+        else:
+            kids = [pos[c] for c in children(g)] + [0, 0]
+            steps.append((op, kids[0], kids[1]))
+    return tuple(steps), names
+
+
+def _run(steps: _Steps, leaves: list[int], full: int, box) -> list[int]:
+    """Truth of every step; `leaves` holds the atoms' truth, `box` maps the
+    truth of q to the truth of Box q."""
+    vals: list[int] = []
+    push = vals.append
+    for op, a, b in steps:
+        if op == _ATOM:
+            push(leaves[a])
+        elif op == _NOT:
+            push(full ^ vals[a])
+        elif op == _AND:
+            push(vals[a] & vals[b])
+        elif op == _OR:
+            push(vals[a] | vals[b])
+        elif op == _IMP:
+            push((full ^ vals[a]) | vals[b])
+        elif op == _IFF:
+            push(full ^ vals[a] ^ vals[b])
+        elif op == _BOX:
+            push(box(vals[a]))
+        elif op == _TRUE:
+            push(full)
+        else:
+            push(0)
+    return vals
+
+
+def _model_masks(m: Model, f: Formula) -> list[int]:
+    """Truth masks over world positions for every formula of subformulas(f)."""
+    steps, names = _compile(f)
+    lay = m.frame._layout
+    leaves = [sum(map(lay.bit.get, m.val.get(a, ()), repeat(0))) for a in names]
+    box_masks = lay.box_masks
+
+    def box(x: int) -> int:
+        r = 0
+        for s, b in box_masks:
+            if s & x == s:
+                r |= b
+        return r
+
+    return _run(steps, leaves, (1 << len(lay.bit)) - 1, box)
+
+
+def _worlds(lay: _Layout, mask: int) -> frozenset[int]:
+    return frozenset(w for w, b in lay.bit.items() if mask & b)
+
+
+def extension(m: Model, f: Formula) -> frozenset[int]:
+    """The worlds of m at which f holds."""
+    return _worlds(m.frame._layout, _model_masks(m, f)[-1])
+
+
+def extensions(m: Model, f: Formula) -> tuple[frozenset[int], ...]:
+    """extension(m, g) for every g in subformulas(f), in that order, from
+    one evaluation pass."""
+    lay = m.frame._layout
+    return tuple(_worlds(lay, x) for x in _model_masks(m, f))
+
+
 def holds(m: Model, f: Formula, w: int) -> bool:
-    """Forcing: truth of f at world w, by structural recursion."""
-    if w not in m.frame.worlds:
+    """Forcing: truth of f at world w."""
+    b = m.frame._layout.bit.get(w)
+    if b is None:
         raise ValueError(f"unknown world id: {w}")
-    return _holds(m, f, w)
-
-
-def _holds(m: Model, f: Formula, w: int) -> bool:
-    if isinstance(f, Falsity):
-        return False
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Atom):
-        return w in m.val.get(f.name, frozenset())
-    if isinstance(f, Not):
-        return not _holds(m, f.arg, w)
-    if isinstance(f, And):
-        return _holds(m, f.left, w) and _holds(m, f.right, w)
-    if isinstance(f, Or):
-        return _holds(m, f.left, w) or _holds(m, f.right, w)
-    if isinstance(f, Imp):
-        return (not _holds(m, f.left, w)) or _holds(m, f.right, w)
-    if isinstance(f, Iff):
-        return _holds(m, f.left, w) == _holds(m, f.right, w)
-    if isinstance(f, Box):
-        return all(
-            _holds(m, f.arg, u)
-            for u in m.frame.worlds
-            if (w, u) in m.frame.rel
-        )
-    raise TypeError(f"not a formula: {f!r}")
+    return bool(_model_masks(m, f)[-1] & b)
 
 
 def holds_in(m: Model, f: Formula) -> bool:
     """f holds at every world of the model (valuation fixed)."""
-    return all(_holds(m, f, w) for w in m.frame.worlds)
+    return _model_masks(m, f)[-1] == (1 << len(m.frame.worlds)) - 1
+
+
+@lru_cache(maxsize=_BLOCK_BITS + 1)
+def _cell_patterns(low: int) -> tuple[int, ...]:
+    """For c < low, the 2**low-bit int whose bit v is bit c of v."""
+    ones = (1 << (1 << low)) - 1
+    return tuple(
+        ones // ((1 << (2 << c)) - 1) * (((1 << (1 << c)) - 1) << (1 << c))
+        for c in range(low)
+    )
+
+
+def _valid(fr: Frame, steps: _Steps, names: tuple[str, ...]) -> bool:
+    lay = fr._layout
+    n = len(lay.bit)
+    cells = len(names) * n
+    if cells > 24:
+        raise SizeGuardError(
+            f"{len(names)} atoms x {n} worlds exceeds the valuation sweep limit"
+        )
+    # Cell c = a*n + w is atom a at world position w. A valuation is a
+    # bit vector over cells: the low cells vary inside a block, the
+    # others are fixed by the block number.
+    low = min(cells, _BLOCK_BITS)
+    width = 1 << low  # V, the valuations in one block
+    vmask = (1 << width) - 1
+    full = (1 << (n * width)) - 1
+    base = [0] * len(names)
+    for c, pattern in enumerate(_cell_patterns(low)):
+        a, w = divmod(c, n)
+        base[a] |= pattern << (w * width)
+    high = []
+    for c in range(low, cells):
+        a, w = divmod(c, n)
+        high.append((c - low, a, vmask << (w * width)))
+    succ = lay.succ
+
+    def box(x: int) -> int:
+        slices = [x >> (j * width) & vmask for j in range(n)]
+        r = 0
+        for i, js in enumerate(succ):
+            acc = vmask
+            for j in js:
+                acc &= slices[j]
+            r |= acc << (i * width)
+        return r
+
+    for block in range(1 << (cells - low)):
+        leaves = base.copy()
+        for bit, a, cell in high:
+            if block >> bit & 1:
+                leaves[a] |= cell
+        if _run(steps, leaves, full, box)[-1] != full:
+            return False
+    return True
 
 
 def valid_on_frame(fr: Frame, f: Formula) -> bool:
     """f holds at every world under every valuation of its atoms."""
-    names = sorted(atoms(f))
-    ws = sorted(fr.worlds)
-    if len(names) * len(ws) > 24:
-        raise SizeGuardError(
-            f"{len(names)} atoms x {len(ws)} worlds exceeds the valuation sweep limit"
-        )
-    cells = [(a, w) for a in names for w in ws]
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        val: dict[str, set[int]] = {a: set() for a in names}
-        for (a, w), b in zip(cells, bits):
-            if b:
-                val[a].add(w)
-        m = Model(fr, {a: frozenset(s) for a, s in val.items()})
-        if not holds_in(m, f):
-            return False
-    return True
+    return _valid(fr, *_compile(f))
 
 
 def relation_well_typed(fr: Frame) -> bool:
@@ -203,7 +345,7 @@ def enumerate_frames(n: int) -> Iterator[Frame]:
             yield Frame(worlds, rel)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _itf_frames(n: int) -> tuple[Frame, ...]:
     return tuple(fr for fr in enumerate_frames(n) if is_itf(fr))
 
@@ -216,7 +358,8 @@ def itf_valid_small(f: Formula, n: int) -> bool:
     """
     if not 1 <= n <= 3:
         raise SizeGuardError(f"ITF validity oracle supports 1 <= n <= 3, got {n}")
-    return all(valid_on_frame(fr, f) for fr in _itf_frames(n))
+    steps, names = _compile(f)
+    return all(_valid(fr, steps, names) for fr in _itf_frames(n))
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +380,46 @@ def model_to_json(m: Model, names: Mapping[int, str] | None = None) -> dict:
     }
 
 
+def _world_ids(index: Mapping[str, int], field: str, names) -> list[int]:
+    try:
+        return [index[nm] for nm in names]
+    except KeyError as e:
+        raise ValueError(f"model field {field!r}: undeclared world name {e}") from None
+    except TypeError:
+        raise ValueError(f"model field {field!r}: world names must be strings") from None
+
+
 def model_from_json(doc: Mapping) -> tuple[Model, tuple[str, ...]]:
     """Load a model, mapping world names to ids 0..n-1 in listing order.
 
-    Returns the model and the name table (index = world id).
+    Returns the model and the name table (index = world id). A document
+    of the wrong shape raises ValueError naming the bad field.
     """
-    names = list(doc["worlds"])
+    if not isinstance(doc, Mapping):
+        raise ValueError("model: expected a JSON object")
+    names = doc.get("worlds")
+    if not isinstance(names, (list, tuple)) or not all(
+        isinstance(nm, str) for nm in names
+    ):
+        raise ValueError("model field 'worlds': expected a list of world names")
     if len(set(names)) != len(names):
         raise ValueError("duplicate world names")
     index = {nm: i for i, nm in enumerate(names)}
-
-    def wid(nm) -> int:
-        if nm not in index:
-            raise ValueError(f"undeclared world name: {nm!r}")
-        return index[nm]
-
-    rel = frozenset((wid(x), wid(y)) for x, y in doc.get("rel", []))
-    val = {
-        a: frozenset(wid(nm) for nm in ws) for a, ws in doc.get("val", {}).items()
-    }
+    pairs = doc.get("rel", [])
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 for e in pairs
+    ):
+        raise ValueError("model field 'rel': expected a list of [from, to] name pairs")
+    ends = _world_ids(index, "rel", [nm for e in pairs for nm in e])
+    val_doc = doc.get("val", {})
+    if not isinstance(val_doc, Mapping) or not all(
+        isinstance(a, str) and isinstance(ws, (list, tuple)) for a, ws in val_doc.items()
+    ):
+        raise ValueError(
+            "model field 'val': expected an object mapping atoms to lists of world names"
+        )
+    val = {a: frozenset(_world_ids(index, "val", ws)) for a, ws in val_doc.items()}
+    rel = frozenset(zip(ends[::2], ends[1::2]))
     return Model(Frame(frozenset(range(len(names))), rel), val), tuple(names)
 
 

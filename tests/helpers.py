@@ -1,8 +1,10 @@
-"""Shared generators for the test suite: hypothesis strategies and a
-seeded random-formula/model sampler used by the acceptance criteria."""
+"""Shared generators for the test suite: hypothesis strategies, a
+seeded random-formula/model sampler used by the acceptance criteria, and
+the recursive reference evaluator the bit-sliced one is checked against."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -14,11 +16,14 @@ from glkit.syntax import (
     And,
     Atom,
     Box,
+    Falsity,
     Formula,
     Iff,
     Imp,
     Not,
     Or,
+    Truth,
+    atoms,
     subformulas,
 )
 
@@ -84,3 +89,47 @@ def random_model(rng: random.Random, max_worlds: int = 6, atom_names=("p", "q"))
         a: frozenset(w for w in range(n) if rng.random() < 0.5) for a in atom_names
     }
     return Model(Frame(worlds, rel), val)
+
+
+def reference_holds(m: Model, f: Formula, w: int) -> bool:
+    """Forcing by structural recursion, one world at a time: the test-only
+    reference for glkit's bottom-up evaluator."""
+    if isinstance(f, Falsity):
+        return False
+    if isinstance(f, Truth):
+        return True
+    if isinstance(f, Atom):
+        return w in m.val.get(f.name, frozenset())
+    if isinstance(f, Not):
+        return not reference_holds(m, f.arg, w)
+    if isinstance(f, And):
+        return reference_holds(m, f.left, w) and reference_holds(m, f.right, w)
+    if isinstance(f, Or):
+        return reference_holds(m, f.left, w) or reference_holds(m, f.right, w)
+    if isinstance(f, Imp):
+        return (not reference_holds(m, f.left, w)) or reference_holds(m, f.right, w)
+    if isinstance(f, Iff):
+        return reference_holds(m, f.left, w) == reference_holds(m, f.right, w)
+    if isinstance(f, Box):
+        return all(
+            reference_holds(m, f.arg, u)
+            for u in m.frame.worlds
+            if (w, u) in m.frame.rel
+        )
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_valid_on_frame(fr: Frame, f: Formula) -> bool:
+    """f holds at every world under every valuation, one valuation at a
+    time, stopping at the first that refutes it."""
+    names = sorted(atoms(f))
+    cells = [(a, w) for a in names for w in sorted(fr.worlds)]
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        val: dict[str, set[int]] = {a: set() for a in names}
+        for (a, w), b in zip(cells, bits):
+            if b:
+                val[a].add(w)
+        m = Model(fr, {a: frozenset(s) for a, s in val.items()})
+        if not all(reference_holds(m, f, w) for w in fr.worlds):
+            return False
+    return True

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from glkit import cli
 from glkit.cli import main
 from glkit.completeness import certificate_from_json, verify_certificate
 
@@ -55,6 +56,19 @@ class TestDecideCommand:
         assert main(["decide", wide]) == 3
         assert "size guard" in capsys.readouterr().err
 
+    def test_deep_nesting_exit_3(self, capsys):
+        assert main(["decide", "Not " * 3000 + "p"]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_failed_recheck_writes_nothing_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_certificate", lambda v: False)
+        cert = tmp_path / "out.json"
+        assert main(["decide", "Box p --> p", "--cert", str(cert)]) == 4
+        assert not cert.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not verify" in captured.err
+
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "frame.dot"
         assert main(["decide", "Box p --> p", "--dot", str(dot)]) == 1
@@ -77,6 +91,21 @@ class TestCheckModel:
         )
         assert main(["check-model", path, "p"]) == 1
         assert "fails at: u" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"worlds": 5}, "worlds"),
+            ([], "object"),
+            ({"worlds": ["u"], "rel": [["u"]]}, "rel"),
+            ({"worlds": ["u"], "rel": "u"}, "rel"),
+            ({"worlds": ["u"], "val": {"p": "u"}}, "val"),
+        ],
+    )
+    def test_malformed_model_exit_2(self, tmp_path, capsys, doc, field):
+        path = write_model(tmp_path, doc)
+        assert main(["check-model", path, "p"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_bad_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glkit.kripke import (
@@ -8,6 +8,8 @@ from glkit.kripke import (
     Model,
     acyclic,
     enumerate_frames,
+    extension,
+    extensions,
     frame_report,
     frame_to_dot,
     holds,
@@ -22,8 +24,13 @@ from glkit.kripke import (
     valid_on_frame,
 )
 from glkit.limits import SizeGuardError
-from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, Not, Or, parse
-from helpers import formulas, random_model
+from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, Not, Or, parse, subformulas
+from helpers import (
+    formulas,
+    random_model,
+    reference_holds,
+    reference_valid_on_frame,
+)
 
 p = Atom("p")
 
@@ -98,6 +105,61 @@ class TestValidOnFrame:
         fr = Frame(frozenset(range(13)), frozenset())
         with pytest.raises(SizeGuardError):
             valid_on_frame(fr, And(p, Atom("q")))
+
+
+@st.composite
+def scattered_frames(draw, min_worlds=0, max_worlds=5):
+    """Frames over world ids drawn from 0..99, whose relation may name
+    undeclared worlds."""
+    worlds = draw(st.frozensets(st.integers(0, 99), min_size=min_worlds, max_size=max_worlds))
+    ids = st.integers(0, 99)
+    if worlds:
+        ids = st.one_of(st.sampled_from(sorted(worlds)), ids)
+    rel = draw(st.frozensets(st.tuples(ids, ids), max_size=3 * max_worlds))
+    return Frame(worlds, rel), ids
+
+
+@st.composite
+def scattered_models(draw, atom_names=("p", "q")):
+    """Models on scattered frames whose valuation may name undeclared worlds."""
+    fr, ids = draw(scattered_frames())
+    return Model(fr, {a: draw(st.frozensets(ids, max_size=6)) for a in atom_names})
+
+
+# Formulas without atoms sweep a single valuation.
+some_formulas = st.one_of(formulas(("p", "q"), max_leaves=12), formulas((), max_leaves=8))
+
+
+class TestAgainstReference:
+    """The bit-sliced evaluator against the recursive one in helpers."""
+
+    @given(some_formulas, scattered_models())
+    def test_model_evaluation(self, f, m):
+        for g, ext in zip(subformulas(f), extensions(m, f)):
+            assert ext == {w for w in m.frame.worlds if reference_holds(m, g, w)}
+        assert extension(m, f) == ext
+        for w in m.frame.worlds:
+            assert holds(m, f, w) == (w in ext)
+        assert holds_in(m, f) == (ext == m.frame.worlds)
+
+    @given(some_formulas, scattered_frames(max_worlds=4))
+    def test_valid_on_frame(self, f, frame_ids):
+        fr, _ = frame_ids
+        assert valid_on_frame(fr, f) == reference_valid_on_frame(fr, f)
+
+    @settings(max_examples=8)
+    @given(formulas(("p",), max_leaves=5), scattered_frames(min_worlds=13, max_worlds=14))
+    def test_valid_on_frame_over_several_blocks(self, f, frame_ids):
+        # 13 or 14 valuation cells: two or four blocks of 2**12 valuations.
+        fr, _ = frame_ids
+        assert valid_on_frame(fr, f) == reference_valid_on_frame(fr, f)
+
+    def test_refuted_only_in_a_later_block(self):
+        # World 0 sees worlds 1..12; the formula fails at 0 only when p
+        # holds at all of them, which needs the 13th cell, outside block 0.
+        fr = Frame(frozenset(range(13)), frozenset((0, w) for w in range(1, 13)))
+        assert valid_on_frame(fr, parse("Box False || Not Box p")) is False
+        assert valid_on_frame(fr, parse("Box p --> Box Box p")) is True
 
 
 class TestFramePredicates:
