@@ -14,7 +14,7 @@ the modal distribution schema K and the Lob schema GL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .limits import SizeGuardError
 from .syntax import (
@@ -182,18 +182,31 @@ def proof_to_json(pr: Proof) -> dict:
     return {"steps": steps}
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def proof_from_json(doc) -> Proof:
+    """Load a proof document. One of the wrong shape raises ValueError
+    naming the bad field and step."""
+    raws = doc.get("steps") if isinstance(doc, Mapping) else None
+    if not isinstance(raws, (list, tuple)):
+        raise ValueError("proof field 'steps': expected a list of step records")
     steps: list[Step] = []
-    for raw in doc["steps"]:
-        if "axiom" in raw:
-            steps.append(AxiomStep(parse(raw["axiom"])))
-        elif "mp" in raw:
-            i, j = raw["mp"]
-            steps.append(MpStep(int(i), int(j)))
-        elif "nec" in raw:
-            steps.append(NecStep(int(raw["nec"])))
+    for n, raw in enumerate(raws):
+        rec = raw if isinstance(raw, Mapping) else {}
+        axiom, mp, nec = rec.get("axiom"), rec.get("mp"), rec.get("nec")
+        if isinstance(axiom, str):
+            steps.append(AxiomStep(parse(axiom)))
+        elif isinstance(mp, (list, tuple)) and len(mp) == 2 and all(map(_is_index, mp)):
+            steps.append(MpStep(*mp))
+        elif _is_index(nec):
+            steps.append(NecStep(nec))
         else:
-            raise ValueError(f"unknown step record: {raw!r}")
+            raise ValueError(
+                f"proof field 'steps', step {n}: expected an axiom formula, "
+                f"an mp index pair or a nec index, got {raw!r}"
+            )
     return Proof(tuple(steps))
 
 

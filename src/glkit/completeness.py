@@ -4,30 +4,38 @@ A world for a target formula is a duplicate-free, canonically ordered
 list over the signed subformula closure: for each closure member q it
 contains exactly one of q / Not q, and membership respects the classical
 truth tables (a Hintikka set). Worlds therefore correspond one-to-one to
-truth assignments of the atoms and boxed subformulas in the closure.
+truth assignments b of the decision formulas (the atoms and boxed
+subformulas in the closure), and the search handles a world as b alone.
 
-`saturate` searches, for every negated box Not (Box q) in a world, a
-successor world containing {Box q, Not q} plus every boxed member of the
-current world together with its body. Along any successor chain the set
-of positive boxes grows strictly (Box q was absent, and boxes only
-propagate forward), so the search has depth at most the number of boxed
-subformulas; that bound is what makes the procedure terminate and is the
-finite trace of the converse well-foundedness of the frames involved.
+Truth table: one run of the shared `kripke` program over the closure,
+with each atom and box step fed its decision's bit pattern, gives every
+closure formula one int whose bit b is its truth under assignment b.
 
-`decide` reports Theorem when no saturated world refutes the target, and
-otherwise emits a countermodel certificate: all saturated worlds, the
-standard relation restricted to them, the membership valuation, and a
-refuting witness world. `verify_certificate` re-checks a certificate
-from first principles (frame shape, membership/truth agreement,
-falsification) using only the Kripke evaluator, independently of the
-search that produced it.
+Saturation: a world is saturated when every negated box Not (Box q) in
+it has a saturated successor containing {Box q, Not q} plus every boxed
+member of the world together with its body. That depends only on the
+world's box pattern, and along any successor the pattern grows strictly
+(Box q was absent, and boxes only propagate forward). So the patterns
+are visited from most boxes to fewest, each settled by one AND per
+obligation against the saturated worlds found so far. The strict growth
+is the finite trace of the converse well-foundedness of the frames
+involved.
+
+`decide` reports Theorem when no saturated world refutes the target.
+Otherwise the witness is the canonically first saturated refuting world,
+and the certificate is the submodel it generates: the witness and its
+saturated successors under the standard relation, which is transitive,
+with the membership valuation. Generated submodels preserve truth.
+`verify_certificate` re-checks a certificate from first principles
+(frame shape, membership/truth agreement, falsification) by evaluating
+the closure on the certificate's own relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, MutableMapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import kripke
 from .calculus import conjlist
@@ -36,14 +44,8 @@ from .limits import SizeGuardError
 from .syntax import (
     Atom,
     Box,
-    Falsity,
     Formula,
-    Iff,
-    Imp,
     Not,
-    Or,
-    Truth,
-    And,
     canonical_key,
     parse,
     print_formula,
@@ -92,122 +94,105 @@ def world_key(w: World):
     return tuple(canonical_key(m) for m in w.members)
 
 
-class _Engine:
-    """Per-context world table and saturation search.
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Worlds are indexed by the bit vector of their decision formulas;
-    member sets are mirrored as bit masks over the signed closure so
-    containment tests are single integer operations.
+
+class _Engine:
+    """Truth table and saturated set of one closure context.
+
+    A world is its decision assignment b: bit b of `truth[i]` is the
+    truth of ctx.closure[i] under b, and bit b of `saturated` says
+    whether that world is saturated.
     """
 
     def __init__(self, ctx: ClosureContext):
-        if len(ctx.decisions) > MAX_DECISION_BITS:
+        k = len(ctx.decisions)
+        if k > MAX_DECISION_BITS:
             raise SizeGuardError(
-                f"{len(ctx.decisions)} decision formulas exceed the "
+                f"{k} decision formulas exceed the "
                 f"{MAX_DECISION_BITS}-bit world enumeration limit"
             )
-        self.ctx = ctx
-        self.sbit = {f: 1 << i for i, f in enumerate(ctx.signed_closure)}
-        self.dim = {d: i for i, d in enumerate(ctx.decisions)}
-        self.box_dims = [
-            (i, d) for i, d in enumerate(ctx.decisions) if isinstance(d, Box)
-        ]
-        k = len(ctx.decisions)
-        self.worlds_by_bits: list[World] = []
-        self.member_mask: list[int] = []
-        self.box_bits: list[int] = []
-        self.prop_req: list[int] = []
-        self.obligations: list[list[tuple[int, Box]]] = []
-        for bits in range(1 << k):
-            self._build_world(bits)
-        self.bits_of = {
-            self.worlds_by_bits[b]: b for b in range(1 << k)
-        }
-        order = sorted(range(1 << k), key=lambda b: world_key(self.worlds_by_bits[b]))
-        self.sorted_bits = order
-        self._sat: dict[int, bool] = {}
-
-    def _build_world(self, bits: int) -> None:
-        vals: dict[Formula, bool] = {}
-        for f in self.ctx.closure:  # canonical order: children first
-            if isinstance(f, (Atom, Box)):
-                vals[f] = bool(bits >> self.dim[f] & 1)
-            elif isinstance(f, Falsity):
-                vals[f] = False
-            elif isinstance(f, Truth):
-                vals[f] = True
-            elif isinstance(f, Not):
-                vals[f] = not vals[f.arg]
-            elif isinstance(f, And):
-                vals[f] = vals[f.left] and vals[f.right]
-            elif isinstance(f, Or):
-                vals[f] = vals[f.left] or vals[f.right]
-            elif isinstance(f, Imp):
-                vals[f] = (not vals[f.left]) or vals[f.right]
-            elif isinstance(f, Iff):
-                vals[f] = vals[f.left] == vals[f.right]
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-        members = {f if vals[f] else Not(f) for f in self.ctx.closure}
-        mask = 0
-        for m in members:
-            mask |= self.sbit[m]
-        self.worlds_by_bits.append(
-            World(tuple(sorted(members, key=canonical_key)))
+        self.full = full = (1 << (1 << k)) - 1
+        # Bit b of cells[i] is bit i of b. Atoms and boxes are free, so each
+        # atom and Box step takes its decision's pattern; the program visits
+        # Box steps in closure order, the order of ctx.decisions.
+        cells = kripke._cell_patterns(k)
+        atom_cell = {d.name: c for d, c in zip(ctx.decisions, cells) if isinstance(d, Atom)}
+        box_cells = iter([c for d, c in zip(ctx.decisions, cells) if isinstance(d, Box)])
+        steps, names = kripke._compile(ctx.target)
+        self.truth = truth = kripke._run(
+            steps, [atom_cell[a] for a in names], full, lambda _: next(box_cells)
         )
-        self.member_mask.append(mask)
-        bb = 0
-        prop = 0
-        obls: list[tuple[int, Box]] = []
-        for pos, d in self.box_dims:
-            if bits >> pos & 1:
-                bb |= 1 << pos
-                prop |= self.sbit[d] | self.sbit[d.arg]
+        pos = {q: i for i, q in enumerate(ctx.closure)}
+        # (member, closure index, polarity) for the signed closure in
+        # canonical order: s is in world b iff bit b of truth[i] == polarity.
+        self.signed = tuple(
+            (s, pos[s], True) if s in pos else (s, pos[s.arg], False)
+            for s in ctx.signed_closure
+        )
+        # Per box: its decision dimension, then the worlds holding Box q,
+        # those holding Box q and q (where a box of the current world
+        # carries on), and those holding Box q and Not q (where an
+        # obligation Not (Box q) is met).
+        self.boxes = []
+        for i, d in enumerate(ctx.decisions):
+            if isinstance(d, Box):
+                has, arg = truth[pos[d]], truth[pos[d.arg]]
+                self.boxes.append((i, has, has & arg, has & ~arg))
+        self.saturated = self._saturate()
+
+    def _saturate(self) -> int:
+        full, boxes = self.full, self.boxes
+        sat = 0
+        # A successor asserts strictly more boxes, so its pattern comes
+        # earlier in this order and is already settled.
+        for pattern in sorted(range(1 << len(boxes)), key=int.bit_count, reverse=True):
+            keep, here, needs = full, full, []
+            for j, (_, has, carry, need) in enumerate(boxes):
+                if pattern >> j & 1:
+                    keep &= carry
+                    here &= has
+                else:
+                    here &= full ^ has
+                    needs.append(need)
+            if all(keep & need & sat for need in needs):
+                sat |= here
+        return sat
+
+    def successors(self, b: int) -> int:
+        """The saturated worlds the standard relation leads to from b."""
+        keep, fresh = self.full, 0
+        for i, has, carry, _ in self.boxes:
+            if b >> i & 1:
+                keep &= carry
             else:
-                obls.append((pos, d))
-        self.box_bits.append(bb)
-        self.prop_req.append(prop)
-        self.obligations.append(obls)
+                fresh |= has
+        return keep & fresh & self.saturated
 
-    # -- saturation ---------------------------------------------------
+    def first(self, candidates: int) -> int:
+        """The canonically first world of a nonempty set of worlds.
 
-    def saturate(self, bits: int) -> bool:
-        known = self._sat.get(bits)
-        if known is not None:
-            return known
-        result = True
-        for pos, boxed in self.obligations[bits]:
-            req = (
-                self.prop_req[bits]
-                | self.sbit[boxed]
-                | self.sbit[Not(boxed.arg)]
-            )
-            forced = self.box_bits[bits] | (1 << pos)
-            if not self._successor_exists(forced, req):
-                result = False
-                break
-        self._sat[bits] = result
-        return result
+        Two worlds compare as their sorted member lists do, so the first
+        formula in canonical order that one holds and the other lacks
+        decides: the world holding it comes first. The walk therefore goes through the signed closure in
+        canonical order and keeps the candidates holding each formula
+        whenever some do."""
+        full, truth = self.full, self.truth
+        for _, i, positive in self.signed:
+            narrowed = candidates & (truth[i] if positive else full ^ truth[i])
+            if narrowed:
+                candidates = narrowed
+        return candidates.bit_length() - 1
 
-    def _successor_exists(self, forced: int, req: int) -> bool:
-        free = [
-            i for i in range(len(self.ctx.decisions)) if not forced >> i & 1
-        ]
-        for combo in range(1 << len(free)):
-            bits = forced
-            for j, pos in enumerate(free):
-                if combo >> j & 1:
-                    bits |= 1 << pos
-            if self.member_mask[bits] & req == req and self.saturate(bits):
-                return True
-        return False
-
-    # -- fast standard relation ---------------------------------------
-
-    def related(self, b1: int, b2: int) -> bool:
-        return (
-            self.member_mask[b2] & self.prop_req[b1] == self.prop_req[b1]
-            and self.box_bits[b2] & ~self.box_bits[b1] != 0
+    def world(self, b: int) -> World:
+        truth = self.truth
+        return World(
+            tuple(s for s, i, positive in self.signed if (truth[i] >> b & 1) == positive)
         )
 
 
@@ -219,7 +204,7 @@ def _engine(ctx: ClosureContext) -> _Engine:
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
     """Every world over the signed closure, in canonical order."""
     eng = _engine(ctx)
-    return tuple(eng.worlds_by_bits[b] for b in eng.sorted_bits)
+    return tuple(sorted(map(eng.world, range(1 << len(ctx.decisions))), key=world_key))
 
 
 def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
@@ -233,23 +218,14 @@ def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
     return any(isinstance(f, Box) and Not(f) in ws for f in x.members)
 
 
-def saturate(
-    ctx: ClosureContext,
-    w: World,
-    memo: MutableMapping[World, bool] | None = None,
-) -> bool:
+def saturate(ctx: ClosureContext, w: World) -> bool:
     """GL-satisfiability of a world: every negated box has a successor
     witness that is itself saturated."""
-    if memo is not None and w in memo:
-        return memo[w]
     eng = _engine(ctx)
-    bits = eng.bits_of.get(w)
-    if bits is None:
+    b = sum(1 << i for i, d in enumerate(ctx.decisions) if d in w)
+    if eng.world(b) != w:
         raise ValueError("not a world of this context")
-    result = eng.saturate(bits)
-    if memo is not None:
-        memo[w] = result
-    return result
+    return bool(eng.saturated >> b & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +274,35 @@ Verdict = Theorem | Countermodel
 
 
 def decide(f: Formula) -> Verdict:
-    """Theorem, or a countermodel over all saturated worlds with the first
-    saturated refuting world (canonical order) as witness."""
+    """Theorem, or a countermodel rooted at a witness.
+
+    The context's engine holds the truth table (one int per closure
+    formula, whose bit b is its truth under decision assignment b) and
+    the saturated set from one sweep over box patterns, most boxes first.
+    f is a theorem iff no saturated world refutes it. Otherwise the
+    witness is the canonically first saturated refuting world, and the
+    certificate is the submodel it generates: the witness and its
+    saturated successors, in canonical order, related by the standard
+    relation."""
     ctx = closure_context(f)
     eng = _engine(ctx)
-    notf = Not(f)
-    witness_bits = [
-        b for b in eng.sorted_bits if eng.member_mask[b] & eng.sbit[notf]
-    ]
-    first_witness: int | None = None
-    for b in witness_bits:
-        if eng.saturate(b):
-            first_witness = b
-            break
-    if first_witness is None:
+    refuting = eng.saturated & ~eng.truth[-1]
+    if not refuting:
         return Theorem(f)
-    saturated = [b for b in eng.sorted_bits if eng.saturate(b)]
-    index = {b: i for i, b in enumerate(saturated)}
+    w = eng.first(refuting)
+    emitted = eng.successors(w) | 1 << w
+    worlds = {b: eng.world(b) for b in _bits(emitted)}
+    order = sorted(worlds, key=lambda b: world_key(worlds[b]))
+    index = {b: i for i, b in enumerate(order)}
     rel = tuple(
-        (index[b1], index[b2])
-        for b1 in saturated
-        for b2 in saturated
-        if eng.related(b1, b2)
+        sorted(
+            (index[x], index[y])
+            for x in order
+            for y in _bits(eng.successors(x) & emitted)
+        )
     )
-    model = StandardModel(
-        f, tuple(eng.worlds_by_bits[b] for b in saturated), rel
-    )
-    return Countermodel(model, eng.worlds_by_bits[first_witness])
+    model = StandardModel(f, tuple(worlds[b] for b in order), rel)
+    return Countermodel(model, worlds[w])
 
 
 def verify_certificate(v: Countermodel) -> bool:
@@ -406,34 +384,37 @@ def certificate_to_json(v: Countermodel) -> dict:
 
 
 def certificate_from_json(doc: Mapping) -> Countermodel:
-    target = parse(doc["target"])
-    names = list(doc["worlds"])
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate world names")
-    index = {nm: i for i, nm in enumerate(names)}
-    contents = doc["world_contents"]
+    """Load a certificate: a model document (see `kripke.model_from_json`)
+    plus `target`, `witness` and `world_contents`. A document of the
+    wrong shape raises ValueError naming the bad field."""
+    m, names = kripke.model_from_json(doc)
+    target, witness, contents = (
+        doc.get(key) for key in ("target", "witness", "world_contents")
+    )
+    if not isinstance(target, str):
+        raise ValueError("certificate field 'target': expected a formula string")
+    if not isinstance(witness, str):
+        raise ValueError("certificate field 'witness': expected a world name")
+    if not isinstance(contents, Mapping) or not all(
+        isinstance(ms, (list, tuple)) and all(isinstance(s, str) for s in ms)
+        for ms in contents.values()
+    ):
+        raise ValueError(
+            "certificate field 'world_contents': expected an object mapping "
+            "world names to lists of formula strings"
+        )
     worlds = []
     for nm in names:
         if nm not in contents:
             raise ValueError(f"missing world contents for {nm!r}")
         worlds.append(World(tuple(parse(s) for s in contents[nm])))
-    rel = []
-    for x, y in doc.get("rel", []):
-        if x not in index or y not in index:
-            raise ValueError(f"undeclared world in rel: {x!r} -> {y!r}")
-        rel.append((index[x], index[y]))
-    sm = StandardModel(target, tuple(worlds), tuple(sorted(rel)))
-    declared = {
-        a: frozenset(index[nm] for nm in ws)
-        for a, ws in doc.get("val", {}).items()
-    }
-    derived = {a: s for a, s in sm.to_model().val.items()}
-    for a in set(declared) | set(derived):
-        if declared.get(a, frozenset()) != derived.get(a, frozenset()):
+    sm = StandardModel(parse(target), tuple(worlds), tuple(sorted(m.frame.rel)))
+    derived = sm.to_model().val
+    for a in set(m.val) | set(derived):
+        if m.val.get(a, frozenset()) != derived.get(a, frozenset()):
             raise ValueError(
                 f"valuation of {a!r} disagrees with the world contents"
             )
-    witness_name = doc["witness"]
-    if witness_name not in index:
-        raise ValueError(f"undeclared witness world: {witness_name!r}")
-    return Countermodel(sm, worlds[index[witness_name]])
+    if witness not in names:
+        raise ValueError(f"undeclared witness world: {witness!r}")
+    return Countermodel(sm, worlds[names.index(witness)])

@@ -1,6 +1,8 @@
 """Shared generators for the test suite: hypothesis strategies, a
-seeded random-formula/model sampler used by the acceptance criteria, and
-the recursive reference evaluator the bit-sliced one is checked against."""
+seeded random-formula/model sampler used by the acceptance criteria, the
+recursive reference evaluator the bit-sliced one is checked against, and
+the brute-force saturation that `decide`'s box-pattern sweep is checked
+against."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import random
 
 from hypothesis import strategies as st
 
+from glkit.completeness import ClosureContext, World, hintikka_worlds, standard_rel
 from glkit.kripke import Frame, Model
 from glkit.syntax import (
     FALSE,
@@ -133,3 +136,23 @@ def reference_valid_on_frame(fr: Frame, f: Formula) -> bool:
         if not all(reference_holds(m, f, w) for w in fr.worlds):
             return False
     return True
+
+
+def reference_saturated(ctx: ClosureContext) -> frozenset[World]:
+    """The saturated worlds of ctx by the recursive definition: every
+    Not (Box q) of a world has a standard successor holding Box q and
+    Not q that is itself saturated. Brute force over every world pair."""
+    ws = hintikka_worlds(ctx)
+    succ = {w: [x for x in ws if standard_rel(ctx, w, x)] for w in ws}
+    memo: dict[World, bool] = {}
+
+    def saturated(w: World) -> bool:
+        if w not in memo:
+            memo[w] = all(
+                any(f in x and Not(f.arg) in x and saturated(x) for x in succ[w])
+                for f in ctx.closure
+                if isinstance(f, Box) and f not in w
+            )
+        return memo[w]
+
+    return frozenset(w for w in ws if saturated(w))

@@ -126,6 +126,15 @@ class TestCheckProof:
         assert main(["check-proof", str(proof)]) == 1
         assert "step 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc", [{"steps": 5}, {"steps": [5]}, {"steps": [{"mp": 1}]}]
+    )
+    def test_malformed_proof_exit_2(self, tmp_path, capsys, doc):
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps(doc))
+        assert main(["check-proof", str(proof)]) == 2
+        assert "'steps'" in capsys.readouterr().err
+
 
 class TestLemmaCommand:
     def test_emit_and_replay(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from glkit.syntax import (
     parse,
     print_formula,
 )
+from helpers import random_formula, reference_saturated
 
 p, q = Atom("p"), Atom("q")
 
@@ -144,17 +146,84 @@ class TestSaturate:
         w = world_of(ctx, "p", "Not Box p", "Box p --> p")
         assert saturate(ctx, w) is True
 
-    def test_memo_argument(self):
-        ctx = closure_context(parse("Box p --> p"))
-        memo = {}
-        for w in hintikka_worlds(ctx):
-            saturate(ctx, w, memo)
-        assert len(memo) == 4 and all(memo.values())
-
     def test_foreign_world_rejected(self):
         ctx = closure_context(p)
         with pytest.raises(ValueError):
             saturate(ctx, World((q,)))
+
+
+def _reference_cases():
+    """The targets of acceptance criterion 7, one target whose saturation
+    needs two levels, then 200 random formulas with at most 6 decision
+    bits, each with its reference saturated set."""
+    c07 = ["p", "Not p", "Box p", "Box p --> p", "p && q", "Box Not p"]
+    # A world with Not Box (Box False --> Box p) and Not Box False has one
+    # propositional successor, holding Box False and Not Box p, and that
+    # one is unsaturated.
+    targets = [parse(t) for t in c07 + ["Box (Box False --> Box p)"]]
+    rng = random.Random(313)
+    while len(targets) < 207:
+        f = random_formula(rng, 4, ("p", "q", "r"))
+        if len(closure_context(f).decisions) <= 6:
+            targets.append(f)
+    return [(ctx, reference_saturated(ctx)) for ctx in map(closure_context, targets)]
+
+
+class TestAgainstReference:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _reference_cases()
+
+    def test_saturate_matches_reference(self, cases):
+        for ctx, saturated in cases:
+            for w in hintikka_worlds(ctx):
+                assert saturate(ctx, w) == (w in saturated), print_formula(ctx.target)
+
+    def test_witness_is_first_saturated_refuting_world(self, cases):
+        refuted = 0
+        for ctx, saturated in cases:
+            v = decide(ctx.target)
+            refuting = [
+                w for w in hintikka_worlds(ctx) if w in saturated and Not(ctx.target) in w
+            ]
+            if not refuting:
+                assert isinstance(v, Theorem), print_formula(ctx.target)
+                continue
+            refuted += 1
+            assert v.witness == refuting[0], print_formula(ctx.target)
+        assert refuted > 0
+
+    def test_emitted_worlds_are_the_witness_and_its_successors(self, cases):
+        for ctx, saturated in cases:
+            v = decide(ctx.target)
+            if isinstance(v, Theorem):
+                continue
+            successors = {x for x in saturated if standard_rel(ctx, v.witness, x)}
+            assert set(v.model.worlds) == successors | {v.witness}
+            assert len(v.model.worlds) == len(successors) + 1
+
+
+def _chain(k: int, theorem: bool):
+    """Box (a0 --> a1) && ... --> Box (a0 --> an) && Box Box an, with k =
+    2n + 4 decision bits; with || in place of the last && it is a theorem."""
+    n = (k - 4) // 2
+    links = " && ".join(f"Box (a{i} --> a{i + 1})" for i in range(n))
+    op = "||" if theorem else "&&"
+    return parse(f"{links} --> Box (a0 --> a{n}) {op} Box Box a{n}")
+
+
+class TestLargeChains:
+    def test_k16_theorem(self):
+        f = _chain(16, True)
+        assert len(closure_context(f).decisions) == 16
+        assert isinstance(decide(f), Theorem)
+
+    def test_k14_refutation_verifies(self):
+        f = _chain(14, False)
+        assert len(closure_context(f).decisions) == 14
+        v = decide(f)
+        assert isinstance(v, Countermodel)
+        assert verify_certificate(certificate_from_json(certificate_to_json(v))) is True
 
 
 class TestDecide:
@@ -240,7 +309,8 @@ class TestVerifyCertificate:
         assert verify_certificate(tampered) is False
 
     def test_witness_must_contain_negated_target(self):
-        v = decide(parse("Box p --> p"))
+        # The witness of Box p has successors, and they hold Box p.
+        v = decide(parse("Box p"))
         other = next(
             w for w in v.model.worlds if Not(v.model.target) not in w
         )
@@ -253,7 +323,7 @@ class TestVerifyCertificate:
     def test_dropped_edges_break_truth_lemma(self):
         # Every edge source carries a negated box, so stripping all of a
         # source's edges makes that box vacuously true against membership.
-        v = decide(parse("Box p --> q"))
+        v = decide(parse("Box p"))
         assert isinstance(v, Countermodel)
         sm = v.model
         assert sm.rel, "expected a nonempty relation"
@@ -336,6 +406,31 @@ class TestCertificateJson:
         del doc["world_contents"]["w0"]
         with pytest.raises(ValueError):
             certificate_from_json(doc)
+
+    def test_shapeless_document_rejected(self):
+        with pytest.raises(ValueError, match="worlds"):
+            certificate_from_json({"target": "p", "worlds": 5, "world_contents": {}})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target", 5),
+            ("witness", 0),
+            ("witness", "w1"),
+            ("world_contents", ["p"]),
+            ("world_contents", {"w0": "Not p"}),
+        ],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        doc = {
+            "target": "p",
+            "worlds": ["w0"],
+            "witness": "w0",
+            "world_contents": {"w0": ["Not p"]},
+        }
+        assert verify_certificate(certificate_from_json(doc)) is True
+        with pytest.raises(ValueError, match=field):
+            certificate_from_json({**doc, field: value})
 
     def test_loaded_tampered_edge_fails_verification(self):
         v = decide(parse("Box p --> p"))
