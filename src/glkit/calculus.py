@@ -14,6 +14,7 @@ the modal distribution schema K and the Lob schema GL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .limits import SizeGuardError
@@ -28,6 +29,7 @@ from .syntax import (
     Imp,
     Not,
     Or,
+    children,
     parse,
     print_formula,
 )
@@ -522,10 +524,6 @@ def _b_modusponens(b: ProofBuilder, p: Formula, q: Formula) -> int:
     return _mp_under(b, left, right)
 
 
-def _b_imp_refl(b: ProofBuilder, p: Formula) -> int:
-    return _imp_refl(b, p)
-
-
 def _b_or_intro_l(b: ProofBuilder, p: Formula, q: Formula) -> int:
     n = Not(And(Not(p), Not(q)))
     fold = b.mp(b.axiom(iffimp2(Or(p, q), n)), b.axiom(or_def(p, q)))
@@ -657,254 +655,100 @@ def conjlist_map_box_proof(fs: Sequence[Formula]) -> Proof:
 # Lemma catalogue
 
 
+def _instantiate(pattern: Formula, subst: Mapping[str, Formula]) -> Formula:
+    """pattern with each atom replaced by its formula in subst, all at once."""
+    if isinstance(pattern, Atom):
+        return subst[pattern.name]
+    parts = children(pattern)
+    return type(pattern)(*(_instantiate(c, subst) for c in parts)) if parts else pattern
+
+
 @dataclass(frozen=True)
 class LemmaInfo:
+    """A catalogue entry. `text` states the lemma in the concrete syntax
+    over the atoms `params`, which stand for the formula arguments in
+    order. `params` is None for the one lemma over a formula list
+    (length <= 8), whose text is informal."""
+
     name: str
-    arity: int | None  # None: takes a formula list (length <= 8)
-    doc: str
-    statement: Callable[..., Formula]
+    params: tuple[str, ...] | None
+    text: str
     build: Callable[..., int]
 
+    @property
+    def arity(self) -> int | None:
+        return None if self.params is None else len(self.params)
 
-def _info(name, arity, doc, statement, build) -> tuple[str, LemmaInfo]:
-    return name, LemmaInfo(name, arity, doc, statement, build)
+    @cached_property
+    def statement(self) -> Formula:
+        """The statement over the parameter atoms, parsed on first use;
+        the list lemma, whose text is informal, has none."""
+        return parse(self.text)
 
 
-LEMMAS: dict[str, LemmaInfo] = dict(
-    [
-        _info("true_th", 0, "True", lambda: TRUE, _b_true),
-        _info("not_false_th", 0, "Not False", lambda: Not(FALSE), _b_not_false),
-        _info("imp_refl", 1, "p --> p", lambda p: Imp(p, p), _b_imp_refl),
-        _info(
-            "imp_trans_th",
-            3,
-            "(p --> q) --> (q --> r) --> (p --> r)",
-            lambda p, q, r: Imp(Imp(p, q), Imp(Imp(q, r), Imp(p, r))),
-            _b_imp_trans_th,
-        ),
-        _info(
-            "imp_swap_th",
-            3,
-            "(p --> q --> r) --> (q --> p --> r)",
-            lambda p, q, r: Imp(Imp(p, Imp(q, r)), Imp(q, Imp(p, r))),
-            _b_imp_swap_th,
-        ),
-        _info(
-            "modusponens_th",
-            2,
-            "(p --> q) && p --> q",
-            lambda p, q: Imp(And(Imp(p, q), p), q),
-            _b_modusponens,
-        ),
-        _info(
-            "ex_falso_th",
-            1,
-            "False --> p",
-            lambda p: Imp(FALSE, p),
-            _b_ex_falso,
-        ),
-        _info(
-            "dneg_elim_th",
-            1,
-            "Not Not p --> p",
-            lambda p: Imp(Not(Not(p)), p),
-            _b_dneg_elim,
-        ),
-        _info(
-            "dneg_intro_th",
-            1,
-            "p --> Not Not p",
-            lambda p: Imp(p, Not(Not(p))),
-            _b_dneg_intro,
-        ),
-        _info(
-            "not_intro_th",
-            1,
-            "(p --> False) --> Not p",
-            lambda p: Imp(Imp(p, FALSE), Not(p)),
-            _b_not_intro,
-        ),
-        _info(
-            "not_elim_th",
-            1,
-            "Not p --> (p --> False)",
-            lambda p: Imp(Not(p), Imp(p, FALSE)),
-            _b_not_elim,
-        ),
-        _info(
-            "contrapos_th",
-            2,
-            "(p --> q) --> (Not q --> Not p)",
-            lambda p, q: Imp(Imp(p, q), Imp(Not(q), Not(p))),
-            _b_contrapos,
-        ),
-        _info(
-            "and_intro_th",
-            2,
-            "p --> q --> p && q",
-            lambda p, q: Imp(p, Imp(q, And(p, q))),
-            _b_and_intro,
-        ),
-        _info(
-            "and_elim_l_th",
-            2,
-            "p && q --> p",
-            lambda p, q: Imp(And(p, q), p),
-            _b_and_elim_l,
-        ),
-        _info(
-            "and_elim_r_th",
-            2,
-            "p && q --> q",
-            lambda p, q: Imp(And(p, q), q),
-            _b_and_elim_r,
-        ),
-        _info(
-            "imp_and_intro_th",
-            3,
-            "(r --> p) --> (r --> q) --> (r --> p && q)",
-            lambda r, p, q: Imp(Imp(r, p), Imp(Imp(r, q), Imp(r, And(p, q)))),
-            _b_imp_and_intro,
-        ),
-        _info(
-            "imp_and_elim_l_th",
-            3,
-            "(r --> p && q) --> (r --> p)",
-            lambda r, p, q: Imp(Imp(r, And(p, q)), Imp(r, p)),
-            _b_imp_and_elim_l,
-        ),
-        _info(
-            "imp_and_elim_r_th",
-            3,
-            "(r --> p && q) --> (r --> q)",
-            lambda r, p, q: Imp(Imp(r, And(p, q)), Imp(r, q)),
-            _b_imp_and_elim_r,
-        ),
-        _info(
-            "or_intro_l_th",
-            2,
-            "p --> p || q",
-            lambda p, q: Imp(p, Or(p, q)),
-            _b_or_intro_l,
-        ),
-        _info(
-            "or_intro_r_th",
-            2,
-            "q --> p || q",
-            lambda p, q: Imp(q, Or(p, q)),
-            _b_or_intro_r,
-        ),
-        _info(
-            "or_elim_th",
-            3,
-            "(p --> r) --> (q --> r) --> (p || q --> r)",
-            lambda p, q, r: Imp(
-                Imp(p, r), Imp(Imp(q, r), Imp(Or(p, q), r))
-            ),
-            _b_or_elim,
-        ),
-        _info(
-            "iff_refl",
-            1,
-            "p <-> p",
-            lambda p: Iff(p, p),
-            _b_iff_refl,
-        ),
-        _info(
-            "iff_sym_th",
-            2,
-            "(p <-> q) --> (q <-> p)",
-            lambda p, q: Imp(Iff(p, q), Iff(q, p)),
-            _b_iff_sym,
-        ),
-        _info(
-            "box_imp_distr",
-            2,
-            "Box (p --> q) --> Box p --> Box q",
-            k_axiom,
-            lambda b, p, q: b.axiom(k_axiom(p, q)),
-        ),
-        _info(
-            "lob",
-            1,
-            "Box (Box p --> p) --> Box p",
-            gl_axiom,
-            lambda b, p: b.axiom(gl_axiom(p)),
-        ),
-        _info(
-            "box_true_iff",
-            0,
-            "Box True <-> True",
-            lambda: Iff(Box(TRUE), TRUE),
-            _b_box_true_iff,
-        ),
-        _info(
-            "box_and_split_th",
-            2,
-            "Box (p && q) --> Box p && Box q",
-            lambda p, q: Imp(Box(And(p, q)), And(Box(p), Box(q))),
-            _b_box_and_split,
-        ),
-        _info(
-            "box_and_join_th",
-            2,
-            "Box p && Box q --> Box (p && q)",
-            lambda p, q: Imp(And(Box(p), Box(q)), Box(And(p, q))),
-            _b_box_and_join,
-        ),
-        _info(
-            "box_conj_iff",
-            2,
-            "Box (p && q) <-> Box p && Box q",
-            lambda p, q: Iff(Box(And(p, q)), And(Box(p), Box(q))),
-            _b_box_conj_iff,
-        ),
-        _info(
-            "box_iff",
-            2,
-            "Box (p <-> q) --> (Box p <-> Box q)",
-            lambda p, q: Imp(Box(Iff(p, q)), Iff(Box(p), Box(q))),
-            _b_box_iff,
-        ),
-        _info(
-            "conjlist_map_box",
-            None,
-            "Box (conjlist fs) <-> conjlist (map Box fs)",
-            lambda *fs: Iff(
-                Box(conjlist(fs)), conjlist([Box(f) for f in fs])
-            ),
-            _b_conjlist_map_box,
-        ),
+LEMMAS: dict[str, LemmaInfo] = {
+    name: LemmaInfo(name, None if params is None else tuple(params.split()), text, build)
+    for name, params, text, build in [
+        ("true_th", "", "True", _b_true),
+        ("not_false_th", "", "Not False", _b_not_false),
+        ("imp_refl", "p", "p --> p", _imp_refl),
+        ("imp_trans_th", "p q r", "(p --> q) --> (q --> r) --> (p --> r)", _b_imp_trans_th),
+        ("imp_swap_th", "p q r", "(p --> q --> r) --> (q --> p --> r)", _b_imp_swap_th),
+        ("modusponens_th", "p q", "(p --> q) && p --> q", _b_modusponens),
+        ("ex_falso_th", "p", "False --> p", _b_ex_falso),
+        ("dneg_elim_th", "p", "Not Not p --> p", _b_dneg_elim),
+        ("dneg_intro_th", "p", "p --> Not Not p", _b_dneg_intro),
+        ("not_intro_th", "p", "(p --> False) --> Not p", _b_not_intro),
+        ("not_elim_th", "p", "Not p --> (p --> False)", _b_not_elim),
+        ("contrapos_th", "p q", "(p --> q) --> (Not q --> Not p)", _b_contrapos),
+        ("and_intro_th", "p q", "p --> q --> p && q", _b_and_intro),
+        ("and_elim_l_th", "p q", "p && q --> p", _b_and_elim_l),
+        ("and_elim_r_th", "p q", "p && q --> q", _b_and_elim_r),
+        ("imp_and_intro_th", "r p q", "(r --> p) --> (r --> q) --> (r --> p && q)",
+         _b_imp_and_intro),
+        ("imp_and_elim_l_th", "r p q", "(r --> p && q) --> (r --> p)", _b_imp_and_elim_l),
+        ("imp_and_elim_r_th", "r p q", "(r --> p && q) --> (r --> q)", _b_imp_and_elim_r),
+        ("or_intro_l_th", "p q", "p --> p || q", _b_or_intro_l),
+        ("or_intro_r_th", "p q", "q --> p || q", _b_or_intro_r),
+        ("or_elim_th", "p q r", "(p --> r) --> (q --> r) --> (p || q --> r)", _b_or_elim),
+        ("iff_refl", "p", "p <-> p", _b_iff_refl),
+        ("iff_sym_th", "p q", "(p <-> q) --> (q <-> p)", _b_iff_sym),
+        ("box_imp_distr", "p q", "Box (p --> q) --> Box p --> Box q",
+         lambda b, p, q: b.axiom(k_axiom(p, q))),
+        ("lob", "p", "Box (Box p --> p) --> Box p", lambda b, p: b.axiom(gl_axiom(p))),
+        ("box_true_iff", "", "Box True <-> True", _b_box_true_iff),
+        ("box_and_split_th", "p q", "Box (p && q) --> Box p && Box q", _b_box_and_split),
+        ("box_and_join_th", "p q", "Box p && Box q --> Box (p && q)", _b_box_and_join),
+        ("box_conj_iff", "p q", "Box (p && q) <-> Box p && Box q", _b_box_conj_iff),
+        ("box_iff", "p q", "Box (p <-> q) --> (Box p <-> Box q)", _b_box_iff),
+        ("conjlist_map_box", None, "Box (conjlist fs) <-> conjlist (map Box fs)",
+         _b_conjlist_map_box),
     ]
-)
+}
+
+
+def _lookup(name: str, args: Sequence[Formula]) -> tuple[LemmaInfo, list[Formula]]:
+    info = LEMMAS.get(name)
+    if info is None:
+        raise LookupError(f"unknown lemma: {name!r}")
+    args = list(args)
+    if info.arity is not None and len(args) != info.arity:
+        raise ValueError(
+            f"lemma {name} takes {info.arity} formula argument(s), got {len(args)}"
+        )
+    return info, args
 
 
 def lemma(name: str, args: Sequence[Formula] = ()) -> Proof:
     """Kernel-checkable proof of a catalogued lemma at the given formulas."""
-    info = LEMMAS.get(name)
-    if info is None:
-        raise LookupError(f"unknown lemma: {name!r}")
-    args = list(args)
-    if info.arity is not None and len(args) != info.arity:
-        raise ValueError(
-            f"lemma {name} takes {info.arity} formula argument(s), got {len(args)}"
-        )
+    info, args = _lookup(name, args)
     b = ProofBuilder()
-    if info.arity is None:
-        idx = info.build(b, args)
-    else:
-        idx = info.build(b, *args)
-    return b.build(idx)
+    return b.build(info.build(b, args) if info.params is None else info.build(b, *args))
 
 
 def lemma_statement(name: str, args: Sequence[Formula] = ()) -> Formula:
     """The formula the catalogued lemma proves at the given arguments."""
-    info = LEMMAS.get(name)
-    if info is None:
-        raise LookupError(f"unknown lemma: {name!r}")
-    args = list(args)
-    if info.arity is not None and len(args) != info.arity:
-        raise ValueError(
-            f"lemma {name} takes {info.arity} formula argument(s), got {len(args)}"
-        )
-    return info.statement(*args)
+    info, args = _lookup(name, args)
+    if info.params is None:
+        return Iff(Box(conjlist(args)), conjlist([Box(f) for f in args]))
+    return _instantiate(info.statement, dict(zip(info.params, args)))

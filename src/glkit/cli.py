@@ -12,6 +12,7 @@ Formula arguments are taken inline, or from a file with @path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -158,15 +159,7 @@ def _cmd_bisim(args) -> int:
 def _cmd_frame_check(args) -> int:
     m, _ = kripke.model_from_json(_load_json(args.model))
     rep = kripke.frame_report(m.frame)
-    fields = {
-        "nonempty": rep.nonempty,
-        "relation_well_typed": rep.relation_well_typed,
-        "finite": rep.finite,
-        "irreflexive": rep.irreflexive,
-        "transitive": rep.transitive,
-        "acyclic": rep.acyclic,
-        "validates_lob": rep.validates_lob,
-    }
+    fields = dataclasses.asdict(rep)
     itf = kripke.is_itf(m.frame)
     if args.dot:
         Path(args.dot).write_text(kripke.frame_to_dot(m.frame) + "\n")

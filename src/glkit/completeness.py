@@ -241,7 +241,7 @@ class StandardModel:
     worlds: tuple[World, ...]
     rel: tuple[tuple[int, int], ...]
 
-    @property
+    @cached_property
     def context(self) -> ClosureContext:
         return closure_context(self.target)
 
@@ -307,8 +307,9 @@ def decide(f: Formula) -> Verdict:
 
 def verify_certificate(v: Countermodel) -> bool:
     """Re-check a countermodel from first principles: the frame is ITF,
-    membership coincides with truth for every closure formula at every
-    world, and the witness contains Not target and falsifies the target."""
+    every world's members are exactly the signed-closure formulas true
+    at it, in canonical order, and the witness is one of the worlds and
+    falsifies the target (so it contains Not target)."""
     if not isinstance(v, Countermodel):
         raise TypeError("only countermodel verdicts carry a certificate")
     sm = v.model
@@ -317,16 +318,20 @@ def verify_certificate(v: Countermodel) -> bool:
     if not kripke.is_itf(m.frame):
         return False
     # World i of the model is sm.worlds[i]; extensions follow ctx.closure.
+    # A signed member outside the closure negates a closure formula, so it
+    # holds where that formula's extension does not.
     truth = kripke.extensions(m, ctx.target)
-    for q, ext in zip(ctx.closure, truth):
-        for i, w in enumerate(sm.worlds):
-            if (q in w) != (i in ext):
-                return False
+    pos = {q: j for j, q in enumerate(ctx.closure)}
+    signed = [
+        (s, truth[pos[s]], True) if s in pos else (s, truth[pos[s.arg]], False)
+        for s in ctx.signed_closure
+    ]
+    for i, w in enumerate(sm.worlds):
+        if w.members != tuple(s for s, ext, positive in signed if (i in ext) == positive):
+            return False
     try:
         widx = sm.worlds.index(v.witness)
     except ValueError:
-        return False
-    if Not(ctx.target) not in v.witness:
         return False
     return widx not in truth[-1]
 
@@ -403,12 +408,16 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
             "certificate field 'world_contents': expected an object mapping "
             "world names to lists of formula strings"
         )
+    # Members are looked up by their printed form among the target's
+    # signed closure, and parsed only when that misses.
+    f = parse(target)
+    printed = {print_formula(s): s for s in closure_context(f).signed_closure}
     worlds = []
     for nm in names:
         if nm not in contents:
             raise ValueError(f"missing world contents for {nm!r}")
-        worlds.append(World(tuple(parse(s) for s in contents[nm])))
-    sm = StandardModel(parse(target), tuple(worlds), tuple(sorted(m.frame.rel)))
+        worlds.append(World(tuple(printed.get(s) or parse(s) for s in contents[nm])))
+    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)))
     derived = sm.to_model().val
     for a in set(m.val) | set(derived):
         if m.val.get(a, frozenset()) != derived.get(a, frozenset()):

@@ -1,14 +1,22 @@
 """Modal formulas: AST, concrete grammar, pretty-printing, subformula closure.
 
-Concrete grammar, loosest to tightest binding:
+Concrete grammar: one table, `_CONNECTIVES`, gives each connective's
+token, constructor, binding level and associativity, and both the
+parser and the printer read it.
 
-    formula := iff
-    iff     := imp ("<->" iff)?          right associative
-    imp     := disj ("-->" imp)?         right associative
-    disj    := conj ("||" conj)*         left associative
-    conj    := unary ("&&" unary)*       left associative
-    unary   := "Not" unary | "Box" unary | "True" | "False"
-             | ident | "(" formula ")"
+    token   level  binds      associativity
+    <->     0      loosest    right
+    -->     1                 right
+    ||      2                 left
+    &&      3                 left
+    Not     4      tightest   prefix
+    Box     4      tightest   prefix
+
+An operand is True, False, an identifier, a prefix connective applied
+to an operand, or a parenthesised formula. `parse` is iterative (an
+operator-precedence parser with an operand and an operator stack), so
+nesting depth is unbounded; `print_formula` emits the fewest
+parentheses that parse back to the same formula.
 
 Identifiers match [A-Za-z][A-Za-z0-9_]* and may not be one of the
 reserved words Not, Box, True, False.
@@ -23,7 +31,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 
 class Formula:
@@ -95,8 +102,6 @@ class Box(Formula):
 FALSE = Falsity()
 TRUE = Truth()
 
-_BINARY = {And: "&&", Or: "||", Imp: "-->", Iff: "<->"}
-
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas of f."""
@@ -152,6 +157,25 @@ def atoms(f: Formula) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
+# The grammar
+
+#: The connectives: token -> (constructor, binding level, right
+#: associative). A higher level binds tighter. Not and Box share the
+#: tightest level and are prefix; the others are infix. Both `parse` and
+#: `print_formula` read precedence and associativity from here only.
+_CONNECTIVES: dict[str, tuple[type, int, bool]] = {
+    "<->": (Iff, 0, True),
+    "-->": (Imp, 1, True),
+    "||": (Or, 2, False),
+    "&&": (And, 3, False),
+    "Not": (Not, 4, True),
+    "Box": (Box, 4, True),
+}
+_PREFIX = max(level for _, level, _ in _CONNECTIVES.values())
+_CONSTANTS = {"True": TRUE, "False": FALSE}
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 
@@ -164,155 +188,119 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|-->|<->|&&|\|\||[()]|\S")
+# A word or a multi-character connective; else one non-space character,
+# which is a token only if it is a letter.
+_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*|-->|<->|&&|\|\||[()])|\S")
+# The operator stack's mark for an open parenthesis.
+_OPEN = (None, -1, False)
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(line, pos)
-            assert m is not None
-            tok = m.group()
-            if len(tok) == 1 and tok not in "()" and not tok.isalpha():
-                raise ParseError(f"unexpected character {tok!r}", lineno, pos + 1)
-            yield tok, lineno, pos + 1
-            pos = m.end()
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
+def _error(text: str, message: str, offset: int | None) -> ParseError:
+    """A ParseError at the token starting at text[offset], or at the end
+    of the last line when offset is None."""
+    if offset is None:
         lines = text.splitlines() or [""]
-        self.eof = (len(lines), len(lines[-1]) + 1)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> str:
-        tok = self.tokens[self.pos][0]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-        else:
-            line, col = self.eof
-        raise ParseError(message, line, col)
-
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek() == "<->":
-            self.advance()
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "-->":
-            self.advance()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "||":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        if tok == "Not":
-            self.advance()
-            return Not(self.unary())
-        if tok == "Box":
-            self.advance()
-            return Box(self.unary())
-        if tok == "True":
-            self.advance()
-            return TRUE
-        if tok == "False":
-            self.advance()
-            return FALSE
-        if tok == "(":
-            self.advance()
-            f = self.formula()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.advance()
-            return f
-        if _ATOM_NAME.match(tok):
-            self.advance()
-            return Atom(tok)
-        self.fail(f"unexpected token {tok!r}")
-        raise AssertionError  # unreachable
+        return ParseError(message, len(lines), len(lines[-1]) + 1)
+    # The token's first character closes the prefix; it is no line break.
+    lines = text[: offset + 1].splitlines()
+    return ParseError(message, len(lines), len(lines[-1]))
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError with position."""
-    p = _Parser(text)
-    f = p.formula()
-    if p.peek() is not None:
-        p.fail(f"unexpected token {p.peek()!r} after formula")
-    return f
+    """Parse concrete syntax into a Formula; raises ParseError with position.
+
+    The whole text is tokenised first, so a lexical error is reported
+    before any syntax error. Parsing then keeps an operand stack and an
+    operator stack, so any nesting depth parses without recursion."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex is None and not m.group().isalpha():
+            raise _error(text, f"unexpected character {m.group()!r}", m.start())
+        tokens.append(m)
+    operands: list[Formula] = []
+    ops: list[tuple] = []
+    depth = 0
+    expect_operand = True
+
+    def reduce(bound: int) -> None:
+        # Apply the pending infix connectives that bind at level >= bound.
+        while ops and ops[-1][1] >= bound:
+            right = operands.pop()
+            operands[-1] = ops.pop()[0](operands[-1], right)
+
+    for m in tokens:
+        tok = m.group()
+        entry = _CONNECTIVES.get(tok)
+        if expect_operand:
+            if entry is not None and entry[1] == _PREFIX:
+                ops.append(entry)
+                continue
+            if tok == "(":
+                ops.append(_OPEN)
+                depth += 1
+                continue
+            f = _CONSTANTS.get(tok)
+            if f is None:
+                try:
+                    f = Atom(tok)
+                except ValueError:
+                    raise _error(text, f"unexpected token {tok!r}", m.start()) from None
+        elif entry is not None and entry[1] < _PREFIX:
+            # An equal level reduces first unless it is right associative.
+            reduce(entry[1] + entry[2])
+            ops.append(entry)
+            expect_operand = True
+            continue
+        elif tok == ")" and depth:
+            reduce(0)
+            ops.pop()
+            depth -= 1
+            f = operands.pop()
+        elif depth:
+            raise _error(text, "expected ')'", m.start())
+        else:
+            raise _error(text, f"unexpected token {tok!r} after formula", m.start())
+        # f is a complete operand; the prefix connectives before it apply.
+        while ops and ops[-1][1] == _PREFIX:
+            f = ops.pop()[0](f)
+        operands.append(f)
+        expect_operand = False
+    if expect_operand:
+        raise _error(text, "unexpected end of input", None)
+    if depth:
+        raise _error(text, "expected ')'", None)
+    reduce(0)
+    return operands[0]
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-# Binding levels, loosest first; parenthesize a subterm whose level is
-# below the context's minimum.
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 0, 1, 2, 3, 4
+_SPELLING = {cls: (tok, level, right) for tok, (cls, level, right) in _CONNECTIVES.items()}
+_CONSTANT_NAMES = {type(c): tok for tok, c in _CONSTANTS.items()}
 
 
 def _print(f: Formula, ctx: int) -> str:
-    if isinstance(f, Falsity):
-        return "False"
-    if isinstance(f, Truth):
-        return "True"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return _wrap(f"Not {_print(f.arg, _LEVEL_UNARY)}", _LEVEL_UNARY, ctx)
-    if isinstance(f, Box):
-        return _wrap(f"Box {_print(f.arg, _LEVEL_UNARY)}", _LEVEL_UNARY, ctx)
-    if isinstance(f, Iff):
-        s = f"{_print(f.left, _LEVEL_IFF + 1)} <-> {_print(f.right, _LEVEL_IFF)}"
-        return _wrap(s, _LEVEL_IFF, ctx)
-    if isinstance(f, Imp):
-        s = f"{_print(f.left, _LEVEL_IMP + 1)} --> {_print(f.right, _LEVEL_IMP)}"
-        return _wrap(s, _LEVEL_IMP, ctx)
-    if isinstance(f, Or):
-        s = f"{_print(f.left, _LEVEL_OR)} || {_print(f.right, _LEVEL_OR + 1)}"
-        return _wrap(s, _LEVEL_OR, ctx)
-    if isinstance(f, And):
-        s = f"{_print(f.left, _LEVEL_AND)} && {_print(f.right, _LEVEL_AND + 1)}"
-        return _wrap(s, _LEVEL_AND, ctx)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(s: str, level: int, ctx: int) -> str:
+    """f printed where the context binds at level ctx: parenthesised if
+    f's connective binds looser."""
+    spelling = _SPELLING.get(type(f))
+    if spelling is None:
+        if isinstance(f, Atom):
+            return f.name
+        if type(f) in _CONSTANT_NAMES:
+            return _CONSTANT_NAMES[type(f)]
+        raise TypeError(f"not a formula: {f!r}")
+    tok, level, right_assoc = spelling
+    if level == _PREFIX:
+        s = f"{tok} {_print(f.arg, level)}"
+    else:
+        # The side an equal level may nest on prints without parentheses.
+        left = _print(f.left, level + right_assoc)
+        right = _print(f.right, level + 1 - right_assoc)
+        s = f"{left} {tok} {right}"
     return s if level >= ctx else f"({s})"
 
 
 def print_formula(f: Formula) -> str:
     """Minimal-parenthesization concrete syntax; parse(print_formula(f)) == f."""
-    return _print(f, _LEVEL_IFF)
+    return _print(f, 0)

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import glkit
 from glkit.calculus import (
     LEMMAS,
     AxiomStep,
@@ -144,6 +149,26 @@ class TestLemmaCatalogue:
         # all ITF frames with <= 3 worlds.
         args = SAMPLE_ARGS[LEMMAS[name].arity]
         assert itf_valid_small(lemma_statement(name, args), 3) is True
+
+    def test_arguments_naming_the_parameters(self):
+        # Substitution is simultaneous: an argument's own atoms p, q, r are
+        # not replaced again.
+        swapped = [q, Box(r), Imp(p, q)]
+        for name, info in LEMMAS.items():
+            args = swapped[:2] if info.arity is None else swapped[: info.arity]
+            assert check_proof(lemma(name, args)) == lemma_statement(name, args)
+        assert lemma_statement("imp_and_elim_l_th", swapped) == parse(
+            "(q --> Box r && (p --> q)) --> (q --> Box r)"
+        )
+
+    def test_statements_parsed_on_first_use(self):
+        src = str(Path(glkit.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import glkit.cli; from glkit.calculus import LEMMAS; "
+            "assert not any('statement' in vars(i) for i in LEMMAS.values())"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_box_iff_statement(self):
         assert lemma_statement("box_iff", [p, q]) == parse(

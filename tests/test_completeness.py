@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from glkit import completeness
 from glkit.completeness import (
     Countermodel,
     Theorem,
@@ -431,6 +432,34 @@ class TestCertificateJson:
         assert verify_certificate(certificate_from_json(doc)) is True
         with pytest.raises(ValueError, match=field):
             certificate_from_json({**doc, field: value})
+
+    def test_member_false_at_its_world_fails_verification(self):
+        # Not p is a signed-closure member of Box p, false at w0.
+        doc = certificate_to_json(decide(parse("Box p")))
+        assert "p" in doc["world_contents"]["w0"]
+        doc["world_contents"]["w0"].append("Not p")
+        assert verify_certificate(certificate_from_json(doc)) is False
+
+    def test_member_outside_the_closure_fails_verification(self):
+        doc = certificate_to_json(decide(parse("Box p")))
+        for members in doc["world_contents"].values():
+            members.append("Box Box Box q")
+        assert verify_certificate(certificate_from_json(doc)) is False
+
+    def test_members_parsed_only_off_the_closure(self, monkeypatch):
+        v = decide(parse("Box p"))
+        doc = certificate_to_json(v)
+        texts = []
+        monkeypatch.setattr(
+            completeness, "parse", lambda t: texts.append(t) or parse(t)
+        )
+        assert certificate_from_json(doc) == v
+        assert texts == ["Box p"]
+        doc["world_contents"] = {
+            w: [f"({s})" for s in members]
+            for w, members in doc["world_contents"].items()
+        }
+        assert certificate_from_json(doc) == v
 
     def test_loaded_tampered_edge_fails_verification(self):
         v = decide(parse("Box p --> p"))

@@ -58,9 +58,32 @@ class TestParse:
             parse(text)
 
     def test_error_position(self):
-        with pytest.raises(ParseError) as e:
-            parse("p && $")
-        assert e.value.line == 1 and e.value.col == 6
+        cases = [
+            ("p && $", 1, 6, "unexpected character '$'"),
+            # End of input is the end of the last line, even after a
+            # trailing newline.
+            ("p &&\n  q ||", 2, 7, "unexpected end of input"),
+            ("p &&\n", 1, 5, "unexpected end of input"),
+            ("(p && q\n", 1, 8, "expected ')'"),
+            ("(p\n  q)", 2, 3, "expected ')'"),
+            ("Box (p --> q) r", 1, 15, "unexpected token 'r' after formula"),
+            ("p\r\n)", 2, 1, "unexpected token ')' after formula"),
+        ]
+        for text, line, col, message in cases:
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert (e.value.line, e.value.col) == (line, col), text
+            assert str(e.value) == f"{line}:{col}: {message}"
+
+    def test_deep_nesting(self):
+        # Nesting depth is not bounded by the interpreter's recursion limit.
+        depth = 10_000
+        assert parse("(" * depth + "p" + ")" * depth) == p
+        f = parse("Not " * depth + "p")
+        for _ in range(depth):
+            assert isinstance(f, Not)
+            f = f.arg
+        assert f == p
 
 
 class TestPrint:
