@@ -33,7 +33,7 @@ the closure on the certificate's own relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -235,15 +235,21 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
 @dataclass(frozen=True)
 class StandardModel:
     """Countermodel carrier: saturated worlds, the standard relation as
-    index pairs into `worlds`, membership valuation left implicit."""
+    index pairs into `worlds`, membership valuation left implicit.
+    `context` is closure_context(target): `decide` and
+    `certificate_from_json` pass in the one they computed, and it is
+    computed here when left out."""
 
     target: Formula
     worlds: tuple[World, ...]
     rel: tuple[tuple[int, int], ...]
+    context: ClosureContext = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def context(self) -> ClosureContext:
-        return closure_context(self.target)
+    def __post_init__(self):
+        if self.context is None:
+            object.__setattr__(self, "context", closure_context(self.target))
+        elif self.context.target != self.target:
+            raise ValueError("the closure context belongs to another target")
 
     def to_model(self) -> Model:
         names = sorted(
@@ -301,7 +307,7 @@ def decide(f: Formula) -> Verdict:
             for y in _bits(eng.successors(x) & emitted)
         )
     )
-    model = StandardModel(f, tuple(worlds[b] for b in order), rel)
+    model = StandardModel(f, tuple(worlds[b] for b in order), rel, ctx)
     return Countermodel(model, worlds[w])
 
 
@@ -411,13 +417,14 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
     # Members are looked up by their printed form among the target's
     # signed closure, and parsed only when that misses.
     f = parse(target)
-    printed = {print_formula(s): s for s in closure_context(f).signed_closure}
+    ctx = closure_context(f)
+    printed = {print_formula(s): s for s in ctx.signed_closure}
     worlds = []
     for nm in names:
         if nm not in contents:
             raise ValueError(f"missing world contents for {nm!r}")
         worlds.append(World(tuple(printed.get(s) or parse(s) for s in contents[nm])))
-    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)))
+    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)), ctx)
     derived = sm.to_model().val
     for a in set(m.val) | set(derived):
         if m.val.get(a, frozenset()) != derived.get(a, frozenset()):

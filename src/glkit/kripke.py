@@ -448,13 +448,20 @@ def model_to_dot(m: Model, names: Mapping[int, str] | None = None) -> str:
 
 
 def relabel(m: Model, mapping: Mapping[int, int]) -> Model:
-    """Rename worlds through an injective id map."""
+    """Rename worlds through an injective id map. Relation pairs and
+    valuation entries naming undeclared worlds are dropped."""
     if len(set(mapping.values())) != len(m.frame.worlds) or set(mapping) != set(
         m.frame.worlds
     ):
         raise ValueError("relabeling must be injective and total on the worlds")
     fr = Frame(
         frozenset(mapping[w] for w in m.frame.worlds),
-        frozenset((mapping[x], mapping[y]) for x, y in m.frame.rel),
+        frozenset(
+            (mapping[x], mapping[y])
+            for x, y in m.frame.rel
+            if x in mapping and y in mapping
+        ),
     )
-    return Model(fr, {a: frozenset(mapping[w] for w in s) for a, s in m.val.items()})
+    return Model(
+        fr, {a: frozenset(mapping[w] for w in s if w in mapping) for a, s in m.val.items()}
+    )

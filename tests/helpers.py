@@ -1,8 +1,9 @@
 """Shared generators for the test suite: hypothesis strategies, a
 seeded random-formula/model sampler used by the acceptance criteria, the
-recursive reference evaluator the bit-sliced one is checked against, and
+recursive reference evaluator the bit-sliced one is checked against,
 the brute-force saturation that `decide`'s box-pattern sweep is checked
-against."""
+against, and the deletion algorithm that bisimulation by partition
+refinement is checked against."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
+from glkit.bisim import BisimRelation, _atom_agree, _zigzag_ok
 from glkit.completeness import ClosureContext, World, hintikka_worlds, standard_rel
 from glkit.kripke import Frame, Model
 from glkit.syntax import (
@@ -156,3 +158,19 @@ def reference_saturated(ctx: ClosureContext) -> frozenset[World]:
         return memo[w]
 
     return frozenset(w for w in ws if saturated(w))
+
+
+def reference_largest_bisimulation(m1: Model, m2: Model) -> BisimRelation:
+    """Greatest fixpoint by deletion: all atom-agreeing pairs, dropping
+    the pairs that violate a zig-zag clause until none does."""
+    pairs = {
+        (w1, w2)
+        for w1 in m1.frame.worlds
+        for w2 in m2.frame.worlds
+        if _atom_agree(m1, m2, w1, w2)
+    }
+    while True:
+        bad = {p for p in pairs if not _zigzag_ok(m1, m2, pairs, *p)}
+        if not bad:
+            return BisimRelation(frozenset(pairs))
+        pairs -= bad

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,7 +7,7 @@ from glkit.bisim import BisimRelation, bisimilar, is_bisimulation, largest_bisim
 from glkit.completeness import Countermodel, decide
 from glkit.kripke import Frame, Model, holds, relabel
 from glkit.syntax import parse
-from helpers import random_formula, random_model
+from helpers import random_formula, random_model, reference_largest_bisimulation
 
 
 def model(worlds, rel, val=None):
@@ -146,3 +147,74 @@ def test_relabeled_countermodel_stays_bisimilar():
         assert bisimilar(m, w, m2, mapping[w])
     widx = v.model.worlds.index(v.witness)
     assert holds(m2, v.model.target, mapping[widx]) is False
+
+
+def _loose_model(rng: random.Random) -> Model:
+    """0-6 worlds drawn from ids 0-7 and 0-3 atoms drawn from p, q, r;
+    relation pairs and valuations may also name the undeclared ids 8
+    and 9, or ids of 0-7 left out of the worlds."""
+    n = 0 if rng.random() < 0.05 else rng.randint(1, 6)
+    ids = range(10)
+    rel = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * n))}
+    val = {
+        a: frozenset(rng.sample(ids, rng.randint(0, 5)))
+        for a in rng.sample(("p", "q", "r"), rng.randint(0, 3))
+    }
+    return Model(Frame(frozenset(rng.sample(range(8), n)), frozenset(rel)), val)
+
+
+def _doubled(m: Model) -> Model:
+    """World w of m as the two worlds 2w and 2w + 1, every edge copied
+    between all of their copies."""
+    return model(
+        {2 * w + c for w in m.frame.worlds for c in (0, 1)},
+        {(2 * x + c, 2 * y + d) for x, y in m.frame.rel for c in (0, 1) for d in (0, 1)},
+        {a: {2 * w + c for w in ws for c in (0, 1)} for a, ws in m.val.items()},
+    )
+
+
+class TestAgainstReference:
+    def test_random_pairs(self):
+        rng = random.Random(5)
+        seen: Counter[str] = Counter()
+        for _ in range(1200):
+            m1 = _loose_model(rng)
+            m2 = m1 if rng.random() < 0.1 else _loose_model(rng)
+            w1, w2 = m1.frame.worlds, m2.frame.worlds
+            seen["same model"] += m1 is m2
+            seen["shared ids"] += m1 is not m2 and bool(w1 & w2)
+            seen["no worlds"] += not w1 or not w2
+            seen["no edges"] += not m1.frame.rel or not m2.frame.rel
+            seen["atom of one model only"] += set(m1.val) != set(m2.val)
+            seen["undeclared edge end"] += any(
+                not {x, y} <= m.frame.worlds for m in (m1, m2) for x, y in m.frame.rel
+            )
+            seen["undeclared valued world"] += any(
+                not s <= m.frame.worlds for m in (m1, m2) for s in m.val.values()
+            )
+            expected = reference_largest_bisimulation(m1, m2)
+            seen["pairs found"] += bool(expected.pairs)
+            assert largest_bisimulation(m1, m2) == expected
+        assert len(seen) == 8 and min(seen.values()) >= 50, seen
+
+    def test_doubled_clone_of_40_worlds(self):
+        rng = random.Random(40)
+        n = 40
+        m = model(
+            range(n),
+            rng.sample([(x, y) for x in range(n) for y in range(n)], round(0.2 * n * n)),
+            {a: rng.sample(range(n), n // 2) for a in ("p", "q")},
+        )
+        clone = _doubled(m)
+        z = largest_bisimulation(m, clone)
+        assert all((w, 2 * w + c) in z.pairs for w in range(n) for c in (0, 1))
+        assert z == reference_largest_bisimulation(m, clone)
+
+
+def test_relabel_drops_undeclared_worlds():
+    m = Model(Frame(frozenset({0, 1}), frozenset({(0, 1), (1, 5)})), {"p": frozenset({0, 7})})
+    mapping = {0: 10, 1: 11}
+    m2 = relabel(m, mapping)
+    assert m2 == model({10, 11}, {(10, 11)}, {"p": {10}})
+    for w in m.frame.worlds:
+        assert bisimilar(m, w, m2, mapping[w])

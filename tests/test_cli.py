@@ -166,6 +166,35 @@ class TestBisimCommand:
         assert "a x" in out and "a y" in out
         assert json.loads(pairs_file.read_text()) == {"pairs": [["a", "x"], ["a", "y"]]}
 
+    @pytest.mark.parametrize(
+        "m1, m2, text, doc",
+        [
+            # The forth clause removes (a, x): a has a successor, x none.
+            (
+                {"worlds": ["a", "b"], "rel": [["a", "b"]], "val": {}},
+                {"worlds": ["x"], "rel": [], "val": {}},
+                "b x\n",
+                '{"pairs": [["b", "x"]]}\n',
+            ),
+            (
+                {"worlds": ["c", "b", "a"], "rel": [["a", "b"]], "val": {"p": ["b"]}},
+                {
+                    "worlds": ["z", "y", "x", "u"],
+                    "rel": [["z", "x"], ["z", "u"]],
+                    "val": {"p": ["x", "y", "u"]},
+                },
+                "a z\nb u\nb x\nb y\n",
+                '{"pairs": [["a", "z"], ["b", "u"], ["b", "x"], ["b", "y"]]}\n',
+            ),
+        ],
+    )
+    def test_output_pinned(self, tmp_path, capsys, m1, m2, text, doc):
+        args = [write_model(tmp_path, m1, "m1.json"), write_model(tmp_path, m2, "m2.json")]
+        assert main(["bisim", *args]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["bisim", *args, "--json"]) == 0
+        assert capsys.readouterr().out == doc
+
 
 class TestFrameCheck:
     def test_itf_frame(self, tmp_path, capsys):

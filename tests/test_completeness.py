@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -225,6 +226,23 @@ class TestLargeChains:
         v = decide(f)
         assert isinstance(v, Countermodel)
         assert verify_certificate(certificate_from_json(certificate_to_json(v))) is True
+
+    def test_k14_round_trip_computes_two_contexts(self, monkeypatch):
+        # One for decide and one for the load, which works its own out from
+        # the target text; each model then carries the one it was built with.
+        calls = []
+        real = completeness.closure_context
+        monkeypatch.setattr(
+            completeness, "closure_context", lambda f: calls.append(f) or real(f)
+        )
+        v = decide(_chain(14, False))
+        assert verify_certificate(certificate_from_json(certificate_to_json(v))) is True
+        assert len(calls) == 2
+
+    def test_context_of_another_target_rejected(self):
+        v = decide(_chain(6, False))
+        with pytest.raises(ValueError):
+            dataclasses.replace(v.model, target=parse("p"))
 
 
 class TestDecide:
