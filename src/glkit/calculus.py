@@ -30,6 +30,7 @@ from .syntax import (
     Not,
     Or,
     children,
+    is_atom_name,
     parse,
     print_formula,
 )
@@ -172,33 +173,104 @@ def check_proof(pr: Proof) -> Formula:
     return step_formulas(pr)[-1]
 
 
+#: The connectives of proof-document terms, by tag.
+_TERM_TAGS = {cls.__name__: cls for cls in (Not, Box, And, Or, Imp, Iff)}
+_TERM_LEAVES = {"True": TRUE, "False": FALSE}
+
+
 def proof_to_json(pr: Proof) -> dict:
+    """A proof document: `terms` lists every distinct subformula of the
+    axiom steps once, children first, as an atom name, True, False or
+    [tag, child ids...]; an axiom step names its formula's term id."""
+    terms: list = []
+    ids: dict[Formula, int] = {}
+
+    def term(f: Formula) -> int:
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in ids:
+                stack.pop()
+                continue
+            kids = children(g)
+            todo = [c for c in kids if c not in ids]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            ids[g] = len(terms)
+            terms.append(
+                [type(g).__name__, *(ids[c] for c in kids)] if kids else print_formula(g)
+            )
+        return ids[f]
+
     steps: list[dict] = []
     for step in pr.steps:
         if isinstance(step, AxiomStep):
-            steps.append({"axiom": print_formula(step.formula)})
+            steps.append({"axiom": term(step.formula)})
         elif isinstance(step, MpStep):
             steps.append({"mp": [step.major, step.minor]})
         else:
             steps.append({"nec": step.premise})
-    return {"steps": steps}
+    return {"terms": terms, "steps": steps}
 
 
 def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _load_terms(raws) -> list[Formula]:
+    """Build each term of a proof document's `terms` once."""
+    if not isinstance(raws, (list, tuple)):
+        raise ValueError("proof field 'terms': expected a list of terms")
+    built: list[Formula] = []
+    for n, raw in enumerate(raws):
+        if isinstance(raw, str):
+            f = _TERM_LEAVES.get(raw)
+            if f is None:
+                if not is_atom_name(raw):
+                    raise ValueError(f"proof field 'terms', term {n}: not an atom name: {raw!r}")
+                f = Atom(raw)
+        else:
+            tag = raw[0] if isinstance(raw, (list, tuple)) and raw else None
+            cls = _TERM_TAGS.get(tag) if isinstance(tag, str) else None
+            if cls is None:
+                raise ValueError(
+                    f"proof field 'terms', term {n}: expected an atom name, True, "
+                    f"False or [tag, child ids...] with tag one of "
+                    f"{', '.join(_TERM_TAGS)}, got {raw!r}"
+                )
+            kids = raw[1:]
+            if len(kids) != len(cls.__match_args__):
+                raise ValueError(
+                    f"proof field 'terms', term {n}: {tag} takes "
+                    f"{len(cls.__match_args__)} child id(s), got {len(kids)}"
+                )
+            if not all(_is_index(i) and 0 <= i < n for i in kids):
+                raise ValueError(
+                    f"proof field 'terms', term {n}: child ids must name earlier terms, "
+                    f"got {list(kids)!r}"
+                )
+            f = cls(*(built[i] for i in kids))
+        built.append(f)
+    return built
+
+
 def proof_from_json(doc) -> Proof:
-    """Load a proof document. One of the wrong shape raises ValueError
-    naming the bad field and step."""
+    """Load a proof document. An axiom step names a term id, or, in the
+    older form, gives its formula as text. A document of the wrong shape
+    raises ValueError naming the bad field and step or term."""
     raws = doc.get("steps") if isinstance(doc, Mapping) else None
     if not isinstance(raws, (list, tuple)):
         raise ValueError("proof field 'steps': expected a list of step records")
+    terms = _load_terms(doc.get("terms", []))
     steps: list[Step] = []
     for n, raw in enumerate(raws):
         rec = raw if isinstance(raw, Mapping) else {}
         axiom, mp, nec = rec.get("axiom"), rec.get("mp"), rec.get("nec")
-        if isinstance(axiom, str):
+        if _is_index(axiom) and 0 <= axiom < len(terms):
+            steps.append(AxiomStep(terms[axiom]))
+        elif isinstance(axiom, str):
             steps.append(AxiomStep(parse(axiom)))
         elif isinstance(mp, (list, tuple)) and len(mp) == 2 and all(map(_is_index, mp)):
             steps.append(MpStep(*mp))
@@ -206,8 +278,8 @@ def proof_from_json(doc) -> Proof:
             steps.append(NecStep(nec))
         else:
             raise ValueError(
-                f"proof field 'steps', step {n}: expected an axiom formula, "
-                f"an mp index pair or a nec index, got {raw!r}"
+                f"proof field 'steps', step {n}: expected an axiom term id or "
+                f"formula text, an mp index pair or a nec index, got {raw!r}"
             )
     return Proof(tuple(steps))
 

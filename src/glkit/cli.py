@@ -1,11 +1,12 @@
 """Batch command-line surface.
 
 Exit codes: 0 theorem / valid / check passed, 1 non-theorem / check
-failed, 2 usage or input errors, 3 size-guard rejection (input nested
-too deeply to process included), 4 internal error: `decide --cert` reloads
-and verifies its certificate before writing it, and writes nothing if
-that re-check fails. With --json a single JSON document is written to
-stdout; diagnostics go to stderr.
+failed, 2 usage or input errors, 3 size-guard rejection (a formula
+nested deeper than `limits.MAX_DEPTH` included), 4 internal error: any
+unexpected exception, reported in one line on stderr, and a failed
+re-check of `decide --cert`, which reloads and verifies its certificate
+before writing it and writes nothing if that fails. With --json a
+single JSON document is written to stdout; diagnostics go to stderr.
 Formula arguments are taken inline, or from a file with @path.
 """
 
@@ -21,6 +22,7 @@ from . import bisim as bisim_mod
 from . import kripke
 from .calculus import (
     LEMMAS,
+    AxiomStep,
     ProofError,
     check_proof,
     lemma,
@@ -34,7 +36,7 @@ from .completeness import (
     decide,
     verify_certificate,
 )
-from .limits import SizeGuardError
+from .limits import SizeGuardError, check_depth
 from .syntax import Formula, ParseError, parse, print_formula
 
 USAGE_ERROR = 2
@@ -45,7 +47,7 @@ INTERNAL_ERROR = 4
 def _read_formula(arg: str) -> Formula:
     if arg.startswith("@"):
         arg = Path(arg[1:]).read_text()
-    return parse(arg)
+    return check_depth(parse(arg))
 
 
 def _load_json(path: str) -> dict:
@@ -104,6 +106,9 @@ def _cmd_check_model(args) -> int:
 
 def _cmd_check_proof(args) -> int:
     pr = proof_from_json(_load_json(args.proof))
+    for step in pr.steps:
+        if isinstance(step, AxiomStep):
+            check_depth(step.formula)
     try:
         conclusion = check_proof(pr)
     except ProofError as e:
@@ -232,15 +237,18 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as e:
         print(f"size guard: {e}", file=sys.stderr)
         return GUARD_ERROR
-    except RecursionError:
-        print("size guard: input nested too deeply", file=sys.stderr)
-        return GUARD_ERROR
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as e:
+        # Exit 1 means "non-theorem" or "check failed", so no crash may
+        # end there or print a traceback.
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .syntax import (
     Box,
     Formula,
     Not,
-    canonical_key,
+    canonical_order,
     parse,
     print_formula,
     subformulas,
@@ -71,9 +71,9 @@ class ClosureContext:
 
 def closure_context(target: Formula) -> ClosureContext:
     closure = subformulas(target)
-    signed = sorted(set(closure) | {Not(q) for q in closure}, key=canonical_key)
+    signed = canonical_order([*closure, *map(Not, closure)])
     decisions = tuple(q for q in closure if isinstance(q, (Atom, Box)))
-    return ClosureContext(target, closure, tuple(signed), decisions)
+    return ClosureContext(target, closure, signed, decisions)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class World:
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.member_set
-
-
-def world_key(w: World):
-    return tuple(canonical_key(m) for m in w.members)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -189,11 +185,19 @@ class _Engine:
                 candidates = narrowed
         return candidates.bit_length() - 1
 
-    def world(self, b: int) -> World:
+    def positions(self, b: int) -> tuple[int, ...]:
+        """The signed-closure positions of world b's members. Worlds
+        compare as these tuples do exactly as their member lists do in
+        canonical order."""
         truth = self.truth
-        return World(
-            tuple(s for s, i, positive in self.signed if (truth[i] >> b & 1) == positive)
+        return tuple(
+            j for j, (_, i, positive) in enumerate(self.signed)
+            if (truth[i] >> b & 1) == positive
         )
+
+    def world(self, b: int) -> World:
+        signed = self.signed
+        return World(tuple(signed[j][0] for j in self.positions(b)))
 
 
 @lru_cache(maxsize=16)
@@ -204,7 +208,7 @@ def _engine(ctx: ClosureContext) -> _Engine:
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
     """Every world over the signed closure, in canonical order."""
     eng = _engine(ctx)
-    return tuple(sorted(map(eng.world, range(1 << len(ctx.decisions))), key=world_key))
+    return tuple(map(eng.world, sorted(range(1 << len(ctx.decisions)), key=eng.positions)))
 
 
 def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
@@ -298,7 +302,7 @@ def decide(f: Formula) -> Verdict:
     w = eng.first(refuting)
     emitted = eng.successors(w) | 1 << w
     worlds = {b: eng.world(b) for b in _bits(emitted)}
-    order = sorted(worlds, key=lambda b: world_key(worlds[b]))
+    order = sorted(worlds, key=eng.positions)
     index = {b: i for i, b in enumerate(order)}
     rel = tuple(
         sorted(
@@ -375,7 +379,7 @@ def extend_maximal_consistent(
         pick = q if consistent(cur + [q]) else Not(q)
         cur.append(pick)
         present.add(pick)
-    return World(tuple(sorted(set(cur), key=canonical_key)))
+    return World(canonical_order(cur))
 
 
 # ---------------------------------------------------------------------------

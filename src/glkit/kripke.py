@@ -31,6 +31,7 @@ from .syntax import (
     Or,
     Truth,
     children,
+    is_atom_name,
     parse,
     subformulas,
 )
@@ -418,6 +419,9 @@ def model_from_json(doc: Mapping) -> tuple[Model, tuple[str, ...]]:
         raise ValueError(
             "model field 'val': expected an object mapping atoms to lists of world names"
         )
+    for a in val_doc:
+        if not is_atom_name(a):
+            raise ValueError(f"model field 'val': no formula can name the atom {a!r}")
     val = {a: frozenset(_world_ids(index, "val", ws)) for a, ws in val_doc.items()}
     rel = frozenset(zip(ends[::2], ends[1::2]))
     return Model(Frame(frozenset(range(len(names))), rel), val), tuple(names)

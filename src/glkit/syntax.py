@@ -1,5 +1,14 @@
 """Modal formulas: AST, concrete grammar, pretty-printing, subformula closure.
 
+Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): every constructor call looks its class and
+arguments up in one weak table and returns the single live node with
+that structure. Equality of formulas is therefore identity and hashing
+is O(1). The table holds its nodes weakly, so it only ever holds the
+formulas still in use. Each node stores its node count (`size`), its
+nesting depth (`depth`, 0 for atoms and constants) and its canonical
+key, all computed from its children when it is made.
+
 Concrete grammar: one table, `_CONNECTIVES`, gives each connective's
 token, constructor, binding level and associativity, and both the
 parser and the printer read it.
@@ -14,90 +23,163 @@ parser and the printer read it.
 
 An operand is True, False, an identifier, a prefix connective applied
 to an operand, or a parenthesised formula. `parse` is iterative (an
-operator-precedence parser with an operand and an operator stack), so
-nesting depth is unbounded; `print_formula` emits the fewest
-parentheses that parse back to the same formula.
+operator-precedence parser with an operand and an operator stack), and
+so are `print_formula`, which emits the fewest parentheses that parse
+back to the same formula, and `subformulas`; nesting depth is bounded
+by memory only.
 
 Identifiers match [A-Za-z][A-Za-z0-9_]* and may not be one of the
 reserved words Not, Box, True, False.
 
-All formula values are immutable and compared structurally; a fixed
-total order (`canonical_key`) makes every enumeration in the package
-deterministic.
+A fixed total order (`canonical_key`) makes every enumeration in the
+package deterministic.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable
+
+# The intern table: (class, *arguments) -> the one live node.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_set = object.__setattr__
 
 
 class Formula:
-    """Base class for modal formulas. Instances are immutable."""
+    """Base class for modal formulas. Instances are immutable and
+    interned: two formulas are equal iff they are the same object."""
 
-    __slots__ = ()
+    __slots__ = ("size", "depth", "_key", "_kids", "_subs", "__weakref__")
+    #: The constructor's arguments, in order.
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"formulas are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"formulas are immutable: cannot delete {name!r}")
+
+    # Copies and unpickled formulas are the interned node itself.
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, a) for a in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __repr__(self) -> str:
+        return f"parse({print_formula(self)!r})"
 
-@dataclass(frozen=True)
+
+def _make(cls: type, args: tuple, kids: tuple[Formula, ...]) -> Formula:
+    """Make and intern the node cls(*args) whose immediate subformulas
+    are kids; it has no live twin."""
+    for c in kids:
+        if not isinstance(c, Formula):
+            raise TypeError(f"{cls.__name__} takes formulas, got {c!r}")
+    node = object.__new__(cls)
+    for field, value in zip(cls.__match_args__, args):
+        _set(node, field, value)
+    if kids:
+        size = 1 + sum(c.size for c in kids)
+        _set(node, "size", size)
+        _set(node, "depth", 1 + max(c.depth for c in kids))
+        _set(node, "_key", (size, _TAG[cls], *(c._key for c in kids)))
+    else:
+        _set(node, "size", 1)
+        _set(node, "depth", 0)
+        _set(node, "_key", (1, _TAG[cls], *args))
+    _set(node, "_kids", kids)
+    _set(node, "_subs", None)
+    _NODES[(cls, *args)] = node
+    return node
+
+
 class Falsity(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _NODES.get((cls,)) or _make(cls, (), ())
 
 
-@dataclass(frozen=True)
 class Truth(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _NODES.get((cls,)) or _make(cls, (), ())
 
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"Not", "Box", "True", "False"})
 
 
-@dataclass(frozen=True)
+def is_atom_name(name) -> bool:
+    """Whether name can name an atom: an identifier, not a reserved word."""
+    return isinstance(name, str) and bool(_ATOM_NAME.match(name)) and name not in _RESERVED
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _ATOM_NAME.match(self.name) or self.name in _RESERVED:
-            raise ValueError(f"invalid atom name: {self.name!r}")
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+    def __new__(cls, name: str):
+        node = _NODES.get((cls, name))
+        if node is None:
+            if not is_atom_name(name):
+                raise ValueError(f"invalid atom name: {name!r}")
+            node = _make(cls, (name,), ())
+        return node
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
+
+    def __new__(cls, arg: Formula):
+        return _NODES.get((cls, arg)) or _make(cls, (arg,), (arg,))
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _NODES.get((cls, left, right)) or _make(cls, (left, right), (left, right))
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    arg: Formula
+class Box(_Unary):
+    __slots__ = ()
 
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Imp(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+_TAG = {Falsity: 0, Truth: 1, Atom: 2, Not: 3, And: 4, Or: 5, Imp: 6, Iff: 7, Box: 8}
 
 FALSE = Falsity()
 TRUE = Truth()
@@ -105,50 +187,79 @@ TRUE = Truth()
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas of f."""
-    if isinstance(f, (Not, Box)):
-        return (f.arg,)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return (f.left, f.right)
-    return ()
+    return f._kids
 
 
-@lru_cache(maxsize=None)
 def node_count(f: Formula) -> int:
-    return 1 + sum(node_count(c) for c in children(f))
+    return f.size
 
 
-_TAG = {Falsity: 0, Truth: 1, Atom: 2, Not: 3, And: 4, Or: 5, Imp: 6, Iff: 7, Box: 8}
-
-
-@lru_cache(maxsize=None)
 def canonical_key(f: Formula):
     """Sort key realizing the package-wide total order on formulas.
 
-    Orders by node count, then constructor tag, then recursively on
-    components (atom names lexicographically). Keys of equal-size,
-    equal-tag formulas always have the same shape, so tuple comparison
-    is well defined.
-    """
-    tag = _TAG[type(f)]
-    if isinstance(f, Atom):
-        return (1, tag, f.name)
-    return (node_count(f), tag) + tuple(canonical_key(c) for c in children(f))
+    Orders by node count, then constructor tag, then on components
+    (atom names lexicographically). Keys of equal-size, equal-tag
+    formulas always have the same shape, so tuple comparison is well
+    defined. The key is stored on the node and built from its
+    children's keys; comparing two keys descends as far as the two
+    formulas agree, so `subformulas` and `canonical_order` sort without
+    comparing keys."""
+    return f._key
 
 
-@lru_cache(maxsize=None)
+def _reachable(roots: Iterable[Formula]) -> set[Formula]:
+    """roots and all their subformulas."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for c in stack.pop()._kids:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+_SIZE = attrgetter("size")
+
+
+def _ordered(nodes: set[Formula]) -> list[Formula]:
+    """nodes, a set closed under subformulas, in canonical order.
+
+    The nodes of one size are ordered by their leaf key or by their tag
+    and then their children's positions; children are smaller, so
+    their positions are settled first. Within a set closed under
+    subformulas this is the order of `canonical_key`, found without
+    comparing keys that nest."""
+    order: list[Formula] = []
+    rank: dict[Formula, int] = {}
+
+    def key(g: Formula):
+        return (g._key[1], *map(rank.__getitem__, g._kids)) if g._kids else g._key
+
+    for _, group in groupby(sorted(nodes, key=_SIZE), _SIZE):
+        for g in sorted(group, key=key):
+            rank[g] = len(order)
+            order.append(g)
+    return order
+
+
 def subformulas(f: Formula) -> tuple[Formula, ...]:
-    """Subformula closure of f, including f, in canonical order."""
-    seen: set[Formula] = set()
+    """Subformula closure of f, including f, in canonical order.
 
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        for c in children(g):
-            walk(c)
+    f comes last, as the largest. The others are computed once and kept
+    on f; keeping f itself there would make a reference cycle, which
+    only the cyclic garbage collector frees."""
+    below = f._subs
+    if below is None:
+        below = tuple(_ordered(_reachable((f,))))[:-1]
+        _set(f, "_subs", below)
+    return (*below, f)
 
-    walk(f)
-    return tuple(sorted(seen, key=canonical_key))
+
+def canonical_order(fs: Iterable[Formula]) -> tuple[Formula, ...]:
+    """The distinct members of fs in canonical order."""
+    wanted = set(fs)
+    return tuple(g for g in _ordered(_reachable(wanted)) if g in wanted)
 
 
 def atoms(f: Formula) -> frozenset[str]:
@@ -280,27 +391,42 @@ _SPELLING = {cls: (tok, level, right) for tok, (cls, level, right) in _CONNECTIV
 _CONSTANT_NAMES = {type(c): tok for tok, c in _CONSTANTS.items()}
 
 
-def _print(f: Formula, ctx: int) -> str:
-    """f printed where the context binds at level ctx: parenthesised if
-    f's connective binds looser."""
-    spelling = _SPELLING.get(type(f))
-    if spelling is None:
-        if isinstance(f, Atom):
-            return f.name
-        if type(f) in _CONSTANT_NAMES:
-            return _CONSTANT_NAMES[type(f)]
-        raise TypeError(f"not a formula: {f!r}")
-    tok, level, right_assoc = spelling
-    if level == _PREFIX:
-        s = f"{tok} {_print(f.arg, level)}"
-    else:
-        # The side an equal level may nest on prints without parentheses.
-        left = _print(f.left, level + right_assoc)
-        right = _print(f.right, level + 1 - right_assoc)
-        s = f"{left} {tok} {right}"
-    return s if level >= ctx else f"({s})"
-
-
 def print_formula(f: Formula) -> str:
-    """Minimal-parenthesization concrete syntax; parse(print_formula(f)) == f."""
-    return _print(f, 0)
+    """Minimal-parenthesization concrete syntax; parse(print_formula(f)) == f.
+
+    A stack holds text still to emit and (formula, context level) pairs
+    still to print; a formula is parenthesised when its connective binds
+    looser than its context."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        spelling = _SPELLING.get(type(g))
+        if spelling is None:
+            if isinstance(g, Atom):
+                out.append(g.name)
+            elif type(g) in _CONSTANT_NAMES:
+                out.append(_CONSTANT_NAMES[type(g)])
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            continue
+        tok, level, right_assoc = spelling
+        # Pushed in reverse: the last item pushed is emitted first.
+        if level < ctx:
+            stack.append(")")
+        if level == _PREFIX:
+            stack += [(g.arg, level), f"{tok} "]
+        else:
+            # The side an equal level may nest on prints without parentheses.
+            stack += [
+                (g.right, level + 1 - right_assoc),
+                f" {tok} ",
+                (g.left, level + right_assoc),
+            ]
+        if level < ctx:
+            stack.append("(")
+    return "".join(out)

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from glkit.calculus import (
 )
 from glkit.kripke import itf_valid_small
 from glkit.limits import SizeGuardError
-from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, parse
+from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, parse, print_formula, subformulas
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 a, bb = Atom("a"), Atom("b")
@@ -220,6 +221,70 @@ class TestProofJson:
     def test_unknown_record(self):
         with pytest.raises(ValueError):
             proof_from_json({"steps": [{"weird": 1}]})
+
+    @pytest.mark.parametrize("name", sorted(LEMMAS))
+    def test_catalogue_round_trip(self, name):
+        args = SAMPLE_ARGS[LEMMAS[name].arity]
+        pr = lemma(name, args)
+        again = proof_from_json(json.loads(json.dumps(proof_to_json(pr))))
+        assert again == pr
+        assert check_proof(again) == lemma_statement(name, args)
+        # The older form, one formula text per axiom step, loads to the
+        # same proof.
+        def legacy_step(s):
+            if isinstance(s, AxiomStep):
+                return {"axiom": print_formula(s.formula)}
+            if isinstance(s, MpStep):
+                return {"mp": [s.major, s.minor]}
+            return {"nec": s.premise}
+
+        legacy = {"steps": [legacy_step(s) for s in pr.steps]}
+        assert proof_from_json(json.loads(json.dumps(legacy))) == pr
+
+    def test_terms_shared_children_first(self):
+        pr = lemma("box_conj_iff", [p, q])
+        doc = proof_to_json(pr)
+        terms = doc["terms"]
+        axioms = {s.formula for s in pr.steps if isinstance(s, AxiomStep)}
+        distinct = {g for f in axioms for g in subformulas(f)}
+        assert len(terms) == len(distinct)
+        for n, t in enumerate(terms):
+            assert isinstance(t, str) or all(0 <= i < n for i in t[1:])
+        assert terms[:2] == ["p", "q"]
+        assert all(isinstance(s["axiom"], int) for s in doc["steps"] if "axiom" in s)
+
+    def test_steps_may_mix_ids_and_text(self):
+        doc = {
+            "terms": ["p", "q", ["Imp", 1, 0], ["Imp", 0, 2]],
+            "steps": [{"axiom": 3}, {"axiom": "q --> p --> q"}],
+        }
+        pr = proof_from_json(doc)
+        assert pr.steps[0].formula is parse("p --> q --> p")
+        assert check_proof(pr) is parse("q --> p --> q")
+
+    @pytest.mark.parametrize(
+        "terms, n, says",
+        [
+            (["p", ["Not", 2], "q"], 1, "earlier"),
+            (["p", ["Not", 1]], 1, "earlier"),
+            (["p", ["Imp", 0]], 1, "takes 2"),
+            (["p", ["Box", 0, 0]], 1, "takes 1"),
+            (["p", ["Diamond", 0]], 1, "tag"),
+            (["p", ["Not", True]], 1, "earlier"),
+            (["p", 0], 1, "expected"),
+            (["p", []], 1, "expected"),
+            (["1x"], 0, "atom name"),
+            (["Not"], 0, "atom name"),
+        ],
+    )
+    def test_malformed_terms(self, terms, n, says):
+        with pytest.raises(ValueError) as e:
+            proof_from_json({"terms": terms, "steps": [{"axiom": 0}]})
+        assert f"'terms', term {n}:" in str(e.value) and says in str(e.value)
+
+    def test_axiom_id_out_of_range(self):
+        with pytest.raises(ValueError, match="'steps', step 1"):
+            proof_from_json({"terms": ["p"], "steps": [{"axiom": 0}, {"axiom": 1}]})
 
 
 def test_step_formulas_total_on_valid_proof():

@@ -5,6 +5,7 @@ import pytest
 from glkit import cli
 from glkit.cli import main
 from glkit.completeness import certificate_from_json, verify_certificate
+from glkit.limits import MAX_DEPTH
 
 LOB = "Box (Box p --> p) --> Box p"
 
@@ -112,6 +113,13 @@ class TestCheckModel:
         bad.write_text("{nope")
         assert main(["check-model", str(bad), "p"]) == 2
 
+    @pytest.mark.parametrize("key", ["Not", "1x"])
+    def test_valuation_key_no_formula_can_name_exit_2(self, tmp_path, capsys, key):
+        path = write_model(tmp_path, {"worlds": ["w"], "val": {key: ["w"]}})
+        assert main(["check-model", path, "p"]) == 2
+        err = capsys.readouterr().err
+        assert "'val'" in err and repr(key) in err
+
 
 class TestCheckProof:
     def test_valid_proof(self, tmp_path, capsys):
@@ -134,6 +142,37 @@ class TestCheckProof:
         proof.write_text(json.dumps(doc))
         assert main(["check-proof", str(proof)]) == 2
         assert "'steps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ["p", ["Not", 2], "q"],  # forward reference
+            ["p", ["Not", 1]],  # self reference
+            ["p", ["Imp", 0]],  # wrong arity
+            ["p", ["Dia", 0]],  # unknown tag
+            ["p", {"Not": 0}],  # not a list
+            ["p", "9p"],  # not an atom name
+        ],
+    )
+    def test_malformed_term_exit_2(self, tmp_path, capsys, terms):
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps({"terms": terms, "steps": [{"axiom": 0}]}))
+        assert main(["check-proof", str(proof)]) == 2
+        assert "'terms', term 1" in capsys.readouterr().err
+
+    def test_shared_terms_replay(self, tmp_path, capsys):
+        proof = tmp_path / "proof.json"
+        doc = {"terms": ["p", "q", ["Imp", 1, 0], ["Imp", 0, 2]], "steps": [{"axiom": 3}]}
+        proof.write_text(json.dumps(doc))
+        assert main(["check-proof", str(proof)]) == 0
+        assert capsys.readouterr().out.strip() == "p --> q --> p"
+
+    def test_axiom_nested_too_deeply_exit_3(self, tmp_path, capsys):
+        deep = "Not " * (MAX_DEPTH + 1) + "p"
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps({"steps": [{"axiom": f"{deep} --> q --> {deep}"}]}))
+        assert main(["check-proof", str(proof)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestLemmaCommand:
@@ -217,3 +256,36 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+class TestDepthBound:
+    def test_parse_of_10000_nested_nots_exit_3(self, capsys):
+        assert main(["parse", "Not " * 10_000 + "p"]) == 3
+        captured = capsys.readouterr()
+        assert "nested too deeply" in captured.err and captured.out == ""
+
+    def test_deepest_accepted(self, tmp_path, capsys):
+        # Two chains of one shape at the bound, through every formula reader.
+        nots = MAX_DEPTH - 1
+        deep = f"{'Not ' * nots}p || {'Not ' * nots}q"
+        assert main(["parse", deep]) == 0
+        assert capsys.readouterr().out.strip() == deep
+        assert main(["decide", deep]) == 1
+        # p and q are false at w, so each chain holds there iff it is odd.
+        path = write_model(tmp_path, {"worlds": ["w"], "val": {}})
+        assert main(["check-model", path, deep]) == (0 if nots % 2 else 1)
+        assert main(["lemma", "imp_refl", deep]) == 0
+        capsys.readouterr()
+        assert main(["parse", "Not " + deep]) == 3
+
+
+def test_uncaught_exception_is_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(doc):
+        raise TypeError("loader bug\non two lines")
+
+    monkeypatch.setattr(cli.kripke, "model_from_json", broken)
+    path = write_model(tmp_path, {"worlds": ["w"]})
+    assert main(["check-model", path, "p"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: TypeError: loader bug on two lines\n"

@@ -1,6 +1,17 @@
+import copy
+import gc
+import pickle
+import random
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import glkit
+from glkit import completeness, kripke, syntax
+from glkit.completeness import decide
 from glkit.syntax import (
     FALSE,
     TRUE,
@@ -14,13 +25,14 @@ from glkit.syntax import (
     ParseError,
     atoms,
     canonical_key,
+    canonical_order,
     children,
     node_count,
     parse,
     print_formula,
     subformulas,
 )
-from helpers import formulas
+from helpers import formulas, random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -157,3 +169,122 @@ def test_canonical_key_total_order():
     # size first, then tag order False < True < Atom < ... < Box
     ordering = sorted([Box(p), TRUE, FALSE, p, Not(p), And(p, q)], key=canonical_key)
     assert ordering == [FALSE, TRUE, p, Not(p), Box(p), And(p, q)]
+
+
+def _reference_key(f):
+    """The canonical key by its recursive definition."""
+    tag = syntax._TAG[type(f)]
+    if isinstance(f, Atom):
+        return (1, tag, f.name)
+    return (node_count(f), tag) + tuple(_reference_key(c) for c in children(f))
+
+
+class TestInterning:
+    def test_constructors_return_the_live_node(self):
+        assert Atom("p") is Atom("p")
+        assert Imp(p, q) is parse("p --> q")
+        assert Box(Not(TRUE)) is parse("Box Not True")
+        assert parse("False") is syntax.Falsity()
+
+    def test_copies_are_the_node(self):
+        f = parse("Box (Box p --> p) --> Box p")
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert copy.deepcopy([f, f])[0] is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert pickle.loads(pickle.dumps(TRUE)) is TRUE
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            p.name = "q"
+        with pytest.raises(AttributeError):
+            Not(p).arg = q
+        assert p.name == "p"
+
+    def test_children_must_be_formulas(self):
+        with pytest.raises(TypeError):
+            Not("p")
+        with pytest.raises(TypeError):
+            And(p, None)
+
+    @given(formulas())
+    def test_stored_fields(self, f):
+        assert canonical_key(f) == _reference_key(f)
+        assert node_count(f) == 1 + sum(node_count(c) for c in children(f))
+        assert f.depth == max((c.depth + 1 for c in children(f)), default=0)
+        assert parse(print_formula(f)) is f
+
+    @given(st.lists(formulas(), max_size=6))
+    def test_canonical_order(self, fs):
+        assert canonical_order(fs) == tuple(sorted(set(fs), key=canonical_key))
+
+    def test_unused_nodes_leave_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            size = len(syntax._NODES)
+            f = parse("Box (Box u1 --> u1) --> Not (u2 && Box u1)")
+            assert subformulas(f)[-1] is f and print_formula(f)
+            assert len(syntax._NODES) > size
+            del f
+            assert len(syntax._NODES) == size
+        finally:
+            gc.enable()
+
+    def test_table_bounded_over_20000_decides(self):
+        # Only the bounded caches keep formulas alive; with them cleared,
+        # the intern table is back to its size before the loop.
+        def live() -> int:
+            kripke._compile.cache_clear()
+            completeness._engine.cache_clear()
+            gc.collect()
+            return len(syntax._NODES)
+
+        before = live()
+        rng = random.Random(5)
+        for _ in range(20_000):
+            decide(random_formula(rng, 4))
+        assert live() <= before + 10
+
+
+class TestDeepFormulas:
+    depth = 10_000
+
+    def chain(self, cls, leaf):
+        f = leaf
+        for _ in range(self.depth):
+            f = cls(f)
+        return f
+
+    def test_not_chain(self):
+        f = self.chain(Not, p)
+        assert f.depth == self.depth and node_count(f) == self.depth + 1
+        assert print_formula(f) == "Not " * self.depth + "p"
+        assert parse(print_formula(f)) is f
+        subs = subformulas(f)
+        assert len(subs) == self.depth + 1
+        assert [node_count(g) for g in subs] == list(range(1, self.depth + 2))
+
+    def test_twin_chains(self):
+        # Two chains of one shape: their canonical keys agree down to the
+        # atoms, and subformulas still orders them.
+        f = Iff(self.chain(Box, p), self.chain(Box, q))
+        assert print_formula(f) == "Box " * self.depth + "p <-> " + "Box " * self.depth + "q"
+        subs = subformulas(f)
+        assert len(subs) == 2 * self.depth + 3
+        assert subs[:4] == (p, q, Box(p), Box(q))
+        assert subs[-1] is f
+
+    def test_right_nested(self):
+        f = p
+        for _ in range(self.depth):
+            f = Imp(q, f)
+        assert print_formula(f) == "q --> " * self.depth + "p"
+        assert parse(print_formula(f)) is f
+        assert len(subformulas(f)) == self.depth + 2
+
+
+def test_no_unbounded_cache_in_the_package():
+    src = Path(glkit.__file__).parent
+    for path in src.glob("*.py"):
+        assert not re.search(r"lru_cache\(\s*maxsize\s*=\s*None", path.read_text()), path.name
+        assert "@cache\n" not in path.read_text(), path.name
