@@ -17,6 +17,7 @@ from .calculus import (
     NecStep,
     Proof,
     ProofError,
+    axiom_instance,
     check_proof,
     conjlist,
     conjlist_map_box_proof,

@@ -8,7 +8,10 @@ must accept, so a bug outside the checker cannot certify a non-theorem.
 
 Axiom schemas: a Wajsberg/Church-style classical core over implication
 and falsity with definitional schemas for the other connectives, plus
-the modal distribution schema K and the Lob schema GL.
+the modal distribution schema K and the Lob schema GL. The schema table
+below is the only statement of the axioms: the kernel matches its
+patterns (`match_axiom`), and the proof builder only instantiates them
+(`axiom_instance`), so no code but the kernel matches a schema.
 """
 
 from __future__ import annotations
@@ -38,24 +41,56 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # Axiom schemas
 
-_P, _Q, _R = Atom("p"), Atom("q"), Atom("r")
+#: The axiom system: name -> (parameter atoms in argument order, pattern).
+#: The parameters act as metavariables ranging over arbitrary formulas.
+_AXIOMS: dict[str, tuple[tuple[str, ...], Formula]] = {
+    name: (tuple(params.split()), parse(text))
+    for name, params, text in [
+        ("addimp", "p q", "p --> q --> p"),
+        ("distribimp", "p q r", "(p --> q --> r) --> (p --> q) --> p --> r"),
+        ("doubleneg", "p", "((p --> False) --> False) --> p"),
+        ("iffimp1", "p q", "(p <-> q) --> p --> q"),
+        ("iffimp2", "p q", "(p <-> q) --> q --> p"),
+        ("impiff", "p q", "(p --> q) --> (q --> p) --> (p <-> q)"),
+        ("true_def", "", "True <-> False --> False"),
+        ("not_def", "p", "Not p <-> p --> False"),
+        ("and_def", "p q", "p && q <-> (p --> q --> False) --> False"),
+        ("or_def", "p q", "p || q <-> Not (Not p && Not q)"),
+        ("K", "p q", "Box (p --> q) --> Box p --> Box q"),
+        ("GL", "p", "Box (Box p --> p) --> Box p"),
+    ]
+}
 
-#: Schema patterns; the atoms p, q, r act as metavariables ranging over
-#: arbitrary formulas.
-SCHEMAS: tuple[tuple[str, Formula], ...] = (
-    ("addimp", Imp(_P, Imp(_Q, _P))),
-    ("distribimp", Imp(Imp(_P, Imp(_Q, _R)), Imp(Imp(_P, _Q), Imp(_P, _R)))),
-    ("doubleneg", Imp(Imp(Imp(_P, FALSE), FALSE), _P)),
-    ("iffimp1", Imp(Iff(_P, _Q), Imp(_P, _Q))),
-    ("iffimp2", Imp(Iff(_P, _Q), Imp(_Q, _P))),
-    ("impiff", Imp(Imp(_P, _Q), Imp(Imp(_Q, _P), Iff(_P, _Q)))),
-    ("true_def", Iff(TRUE, Imp(FALSE, FALSE))),
-    ("not_def", Iff(Not(_P), Imp(_P, FALSE))),
-    ("and_def", Iff(And(_P, _Q), Imp(Imp(_P, Imp(_Q, FALSE)), FALSE))),
-    ("or_def", Iff(Or(_P, _Q), Not(And(Not(_P), Not(_Q))))),
-    ("K", Imp(Box(Imp(_P, _Q)), Imp(Box(_P), Box(_Q)))),
-    ("GL", Imp(Box(Imp(Box(_P), _P)), Box(_P))),
+#: The schema patterns in table order, as the kernel tries them.
+SCHEMAS: tuple[tuple[str, Formula], ...] = tuple(
+    (name, pattern) for name, (_, pattern) in _AXIOMS.items()
 )
+
+
+def _check_arity(kind: str, name: str, params: Sequence[str], args: Sequence) -> None:
+    if len(args) != len(params):
+        raise ValueError(
+            f"{kind} {name} takes {len(params)} formula argument(s), got {len(args)}"
+        )
+
+
+def _instantiate(pattern: Formula, subst: Mapping[str, Formula]) -> Formula:
+    """pattern with each atom replaced by its formula in subst, all at once."""
+    if isinstance(pattern, Atom):
+        return subst[pattern.name]
+    parts = children(pattern)
+    return type(pattern)(*(_instantiate(c, subst) for c in parts)) if parts else pattern
+
+
+def axiom_instance(name: str, args: Sequence[Formula]) -> Formula:
+    """The instance of the named schema at the given formulas, one per
+    parameter in order."""
+    entry = _AXIOMS.get(name)
+    if entry is None:
+        raise LookupError(f"unknown axiom schema: {name!r}")
+    params, pattern = entry
+    _check_arity("axiom schema", name, params, args)
+    return _instantiate(pattern, dict(zip(params, args)))
 
 
 class AxiomMatch(NamedTuple):
@@ -287,57 +322,6 @@ def proof_from_json(doc) -> Proof:
 # ---------------------------------------------------------------------------
 # Proof construction
 
-# Axiom instance builders.
-
-
-def addimp(p: Formula, q: Formula) -> Formula:
-    return Imp(p, Imp(q, p))
-
-
-def distribimp(p: Formula, q: Formula, r: Formula) -> Formula:
-    return Imp(Imp(p, Imp(q, r)), Imp(Imp(p, q), Imp(p, r)))
-
-
-def doubleneg(p: Formula) -> Formula:
-    return Imp(Imp(Imp(p, FALSE), FALSE), p)
-
-
-def iffimp1(p: Formula, q: Formula) -> Formula:
-    return Imp(Iff(p, q), Imp(p, q))
-
-
-def iffimp2(p: Formula, q: Formula) -> Formula:
-    return Imp(Iff(p, q), Imp(q, p))
-
-
-def impiff(p: Formula, q: Formula) -> Formula:
-    return Imp(Imp(p, q), Imp(Imp(q, p), Iff(p, q)))
-
-
-def true_def() -> Formula:
-    return Iff(TRUE, Imp(FALSE, FALSE))
-
-
-def not_def(p: Formula) -> Formula:
-    return Iff(Not(p), Imp(p, FALSE))
-
-
-def and_def(p: Formula, q: Formula) -> Formula:
-    return Iff(And(p, q), Imp(Imp(p, Imp(q, FALSE)), FALSE))
-
-
-def or_def(p: Formula, q: Formula) -> Formula:
-    return Iff(Or(p, q), Not(And(Not(p), Not(q))))
-
-
-def k_axiom(p: Formula, q: Formula) -> Formula:
-    return Imp(Box(Imp(p, q)), Imp(Box(p), Box(q)))
-
-
-def gl_axiom(p: Formula) -> Formula:
-    return Imp(Box(Imp(Box(p), p)), Box(p))
-
-
 class ProofBuilder:
     """Accumulates steps, reusing any step whose formula was already derived."""
 
@@ -358,9 +342,8 @@ class ProofBuilder:
         self._index[formula] = len(self.steps) - 1
         return len(self.steps) - 1
 
-    def axiom(self, f: Formula) -> int:
-        if not is_axiom(f):
-            raise ValueError(f"not an axiom instance: {print_formula(f)}")
+    def axiom(self, name: str, *args: Formula) -> int:
+        f = axiom_instance(name, args)
         return self._push(AxiomStep(f), f)
 
     def mp(self, major: int, minor: int) -> int:
@@ -392,23 +375,23 @@ def _dest_imp(f: Formula) -> tuple[Formula, Formula]:
 
 
 def _imp_refl(b: ProofBuilder, p: Formula) -> int:
-    s1 = b.axiom(distribimp(p, Imp(p, p), p))
-    s2 = b.axiom(addimp(p, Imp(p, p)))
+    s1 = b.axiom("distribimp", p, Imp(p, p), p)
+    s2 = b.axiom("addimp", p, Imp(p, p))
     s3 = b.mp(s1, s2)
-    s4 = b.axiom(addimp(p, p))
+    s4 = b.axiom("addimp", p, p)
     return b.mp(s3, s4)
 
 
 def _add_assum(b: ProofBuilder, p: Formula, i: int) -> int:
     # |- q  ==>  |- p --> q
     q = b.form(i)
-    return b.mp(b.axiom(addimp(q, p)), i)
+    return b.mp(b.axiom("addimp", q, p), i)
 
 
 def _imp_add_assum(b: ProofBuilder, p: Formula, i: int) -> int:
     # |- q --> r  ==>  |- (p --> q) --> (p --> r)
     q, r = _dest_imp(b.form(i))
-    return b.mp(b.axiom(distribimp(p, q, r)), _add_assum(b, p, i))
+    return b.mp(b.axiom("distribimp", p, q, r), _add_assum(b, p, i))
 
 
 def _imp_trans(b: ProofBuilder, i: int, j: int) -> int:
@@ -421,15 +404,15 @@ def _imp_swap(b: ProofBuilder, i: int) -> int:
     # |- p --> (q --> r)  ==>  |- q --> (p --> r)
     p, qr = _dest_imp(b.form(i))
     q, r = _dest_imp(qr)
-    distributed = b.mp(b.axiom(distribimp(p, q, r)), i)
-    return _imp_trans(b, b.axiom(addimp(q, p)), distributed)
+    distributed = b.mp(b.axiom("distribimp", p, q, r), i)
+    return _imp_trans(b, b.axiom("addimp", q, p), distributed)
 
 
 def _mp_under(b: ProofBuilder, i: int, j: int) -> int:
     # |- a --> (p --> q), |- a --> p  ==>  |- a --> q
     a, pq = _dest_imp(b.form(i))
     p, q = _dest_imp(pq)
-    return b.mp(b.mp(b.axiom(distribimp(a, p, q)), i), j)
+    return b.mp(b.mp(b.axiom("distribimp", a, p, q), i), j)
 
 
 def _imp_trans2(b: ProofBuilder, i: int, j: int) -> int:
@@ -449,25 +432,25 @@ def _imp_trans_right(b: ProofBuilder, i: int, j: int) -> int:
 def _box_mono(b: ProofBuilder, i: int) -> int:
     # |- p --> q  ==>  |- Box p --> Box q
     p, q = _dest_imp(b.form(i))
-    return b.mp(b.axiom(k_axiom(p, q)), b.nec(i))
+    return b.mp(b.axiom("K", p, q), b.nec(i))
 
 
 def _iff_intro(b: ProofBuilder, i: int, j: int) -> int:
     # |- p --> q, |- q --> p  ==>  |- p <-> q
     p, q = _dest_imp(b.form(i))
-    return b.mp(b.mp(b.axiom(impiff(p, q)), i), j)
+    return b.mp(b.mp(b.axiom("impiff", p, q), i), j)
 
 
 def _iff_elim1(b: ProofBuilder, i: int) -> int:
     f = b.form(i)
     assert isinstance(f, Iff)
-    return b.mp(b.axiom(iffimp1(f.left, f.right)), i)
+    return b.mp(b.axiom("iffimp1", f.left, f.right), i)
 
 
 def _iff_elim2(b: ProofBuilder, i: int) -> int:
     f = b.form(i)
     assert isinstance(f, Iff)
-    return b.mp(b.axiom(iffimp2(f.left, f.right)), i)
+    return b.mp(b.axiom("iffimp2", f.left, f.right), i)
 
 
 def _iff_trans_rule(b: ProofBuilder, i: int, j: int) -> int:
@@ -487,17 +470,15 @@ def _contrapos_rule(b: ProofBuilder, i: int) -> int:
 
 
 def _b_true(b: ProofBuilder) -> int:
-    ff = Imp(FALSE, FALSE)
-    to_true = b.mp(b.axiom(iffimp2(TRUE, ff)), b.axiom(true_def()))
-    return b.mp(to_true, _imp_refl(b, FALSE))
+    return b.mp(_iff_elim2(b, b.axiom("true_def")), _imp_refl(b, FALSE))
 
 
 def _b_not_elim(b: ProofBuilder, p: Formula) -> int:
-    return b.mp(b.axiom(iffimp1(Not(p), Imp(p, FALSE))), b.axiom(not_def(p)))
+    return _iff_elim1(b, b.axiom("not_def", p))
 
 
 def _b_not_intro(b: ProofBuilder, p: Formula) -> int:
-    return b.mp(b.axiom(iffimp2(Not(p), Imp(p, FALSE))), b.axiom(not_def(p)))
+    return _iff_elim2(b, b.axiom("not_def", p))
 
 
 def _b_not_false(b: ProofBuilder) -> int:
@@ -505,21 +486,21 @@ def _b_not_false(b: ProofBuilder) -> int:
 
 
 def _b_ex_falso(b: ProofBuilder, p: Formula) -> int:
-    start = b.axiom(addimp(FALSE, Imp(p, FALSE)))
-    return _imp_trans(b, start, b.axiom(doubleneg(p)))
+    start = b.axiom("addimp", FALSE, Imp(p, FALSE))
+    return _imp_trans(b, start, b.axiom("doubleneg", p))
 
 
 def _b_imp_trans_th(b: ProofBuilder, p: Formula, q: Formula, r: Formula) -> int:
     lifted = _imp_trans(
-        b, b.axiom(addimp(Imp(q, r), p)), b.axiom(distribimp(p, q, r))
+        b, b.axiom("addimp", Imp(q, r), p), b.axiom("distribimp", p, q, r)
     )
     return _imp_swap(b, lifted)
 
 
 def _b_imp_swap_th(b: ProofBuilder, p: Formula, q: Formula, r: Formula) -> int:
-    th1 = b.axiom(distribimp(p, q, r))
+    th1 = b.axiom("distribimp", p, q, r)
     precomp = b.mp(
-        _b_imp_trans_th(b, q, Imp(p, q), Imp(p, r)), b.axiom(addimp(q, p))
+        _b_imp_trans_th(b, q, Imp(p, q), Imp(p, r)), b.axiom("addimp", q, p)
     )
     return _imp_trans(b, th1, precomp)
 
@@ -529,7 +510,7 @@ def _b_dneg_elim(b: ProofBuilder, p: Formula) -> int:
     refold = b.mp(
         _b_imp_trans_th(b, Imp(p, FALSE), Not(p), FALSE), _b_not_intro(b, p)
     )
-    return _imp_trans(b, _imp_trans(b, unfold, refold), b.axiom(doubleneg(p)))
+    return _imp_trans(b, _imp_trans(b, unfold, refold), b.axiom("doubleneg", p))
 
 
 def _b_dneg_intro(b: ProofBuilder, p: Formula) -> int:
@@ -548,38 +529,34 @@ def _b_contrapos(b: ProofBuilder, p: Formula, q: Formula) -> int:
 
 
 def _b_and_elim_l(b: ProofBuilder, p: Formula, q: Formula) -> int:
-    unfolded = Imp(Imp(p, Imp(q, FALSE)), FALSE)
-    e1 = b.mp(b.axiom(iffimp1(And(p, q), unfolded)), b.axiom(and_def(p, q)))
-    lift = _imp_add_assum(b, p, b.axiom(addimp(FALSE, q)))
+    e1 = _iff_elim1(b, b.axiom("and_def", p, q))
+    lift = _imp_add_assum(b, p, b.axiom("addimp", FALSE, q))
     f2 = b.mp(
         _b_imp_trans_th(b, Imp(p, FALSE), Imp(p, Imp(q, FALSE)), FALSE), lift
     )
-    return _imp_trans(b, e1, _imp_trans(b, f2, b.axiom(doubleneg(p))))
+    return _imp_trans(b, e1, _imp_trans(b, f2, b.axiom("doubleneg", p)))
 
 
 def _b_and_elim_r(b: ProofBuilder, p: Formula, q: Formula) -> int:
-    unfolded = Imp(Imp(p, Imp(q, FALSE)), FALSE)
-    e1 = b.mp(b.axiom(iffimp1(And(p, q), unfolded)), b.axiom(and_def(p, q)))
-    lift = b.axiom(addimp(Imp(q, FALSE), p))
+    e1 = _iff_elim1(b, b.axiom("and_def", p, q))
+    lift = b.axiom("addimp", Imp(q, FALSE), p)
     f2 = b.mp(
         _b_imp_trans_th(b, Imp(q, FALSE), Imp(p, Imp(q, FALSE)), FALSE), lift
     )
-    return _imp_trans(b, e1, _imp_trans(b, f2, b.axiom(doubleneg(q))))
+    return _imp_trans(b, e1, _imp_trans(b, f2, b.axiom("doubleneg", q)))
 
 
 def _b_and_intro(b: ProofBuilder, p: Formula, q: Formula) -> int:
     x = Imp(p, Imp(q, FALSE))
     to_x = _imp_swap(b, _imp_refl(b, x))
     curried = _imp_trans(b, to_x, _b_imp_swap_th(b, x, q, FALSE))
-    fold = b.mp(
-        b.axiom(iffimp2(And(p, q), Imp(x, FALSE))), b.axiom(and_def(p, q))
-    )
+    fold = _iff_elim2(b, b.axiom("and_def", p, q))
     return _imp_trans_right(b, curried, fold)
 
 
 def _b_imp_and_intro(b: ProofBuilder, r: Formula, p: Formula, q: Formula) -> int:
     lifted = _imp_add_assum(b, r, _b_and_intro(b, p, q))
-    return _imp_trans(b, lifted, b.axiom(distribimp(r, q, And(p, q))))
+    return _imp_trans(b, lifted, b.axiom("distribimp", r, q, And(p, q)))
 
 
 def _b_imp_and_elim_l(b: ProofBuilder, r: Formula, p: Formula, q: Formula) -> int:
@@ -597,21 +574,20 @@ def _b_modusponens(b: ProofBuilder, p: Formula, q: Formula) -> int:
 
 
 def _b_or_intro_l(b: ProofBuilder, p: Formula, q: Formula) -> int:
-    n = Not(And(Not(p), Not(q)))
-    fold = b.mp(b.axiom(iffimp2(Or(p, q), n)), b.axiom(or_def(p, q)))
+    fold = _iff_elim2(b, b.axiom("or_def", p, q))
     neg = _contrapos_rule(b, _b_and_elim_l(b, Not(p), Not(q)))
     return _imp_trans(b, _imp_trans(b, _b_dneg_intro(b, p), neg), fold)
 
 
 def _b_or_intro_r(b: ProofBuilder, p: Formula, q: Formula) -> int:
-    n = Not(And(Not(p), Not(q)))
-    fold = b.mp(b.axiom(iffimp2(Or(p, q), n)), b.axiom(or_def(p, q)))
+    fold = _iff_elim2(b, b.axiom("or_def", p, q))
     neg = _contrapos_rule(b, _b_and_elim_r(b, Not(p), Not(q)))
     return _imp_trans(b, _imp_trans(b, _b_dneg_intro(b, q), neg), fold)
 
 
 def _b_or_elim(b: ProofBuilder, p: Formula, q: Formula, r: Formula) -> int:
-    n = Not(And(Not(p), Not(q)))
+    unfold = _iff_elim1(b, b.axiom("or_def", p, q))
+    _, n = _dest_imp(b.form(unfold))  # p || q --> Not (Not p && Not q)
     c1 = _b_contrapos(b, p, r)
     c2 = _b_contrapos(b, q, r)
     both = _b_imp_and_intro(b, Not(r), Not(p), Not(q))
@@ -621,7 +597,6 @@ def _b_or_elim(b: ProofBuilder, p: Formula, q: Formula, r: Formula) -> int:
     u3 = _imp_trans_right(b, u2, flip)
     dn = _imp_add_assum(b, n, _b_dneg_elim(b, r))
     u4 = _imp_trans_right(b, u3, dn)
-    unfold = b.mp(b.axiom(iffimp1(Or(p, q), n)), b.axiom(or_def(p, q)))
     precomp = b.mp(_b_imp_trans_th(b, Or(p, q), n, r), unfold)
     return _imp_trans_right(b, u4, precomp)
 
@@ -632,9 +607,9 @@ def _b_iff_refl(b: ProofBuilder, p: Formula) -> int:
 
 
 def _b_iff_sym(b: ProofBuilder, p: Formula, q: Formula) -> int:
-    i1 = b.axiom(iffimp1(p, q))
-    i2 = b.axiom(iffimp2(p, q))
-    partial = _imp_trans(b, i2, b.axiom(impiff(q, p)))
+    i1 = b.axiom("iffimp1", p, q)
+    i2 = b.axiom("iffimp2", p, q)
+    partial = _imp_trans(b, i2, b.axiom("impiff", q, p))
     return _mp_under(b, partial, i1)
 
 
@@ -653,9 +628,8 @@ def _b_box_and_split(b: ProofBuilder, p: Formula, q: Formula) -> int:
 
 def _b_box_and_join(b: ProofBuilder, p: Formula, q: Formula) -> int:
     n1 = b.nec(_b_and_intro(b, p, q))
-    k1 = b.mp(b.axiom(k_axiom(p, Imp(q, And(p, q)))), n1)
-    curried = _imp_trans(b, k1, b.axiom(k_axiom(q, And(p, q))))
-    x = And(Box(p), Box(q))
+    k1 = b.mp(b.axiom("K", p, Imp(q, And(p, q))), n1)
+    curried = _imp_trans(b, k1, b.axiom("K", q, And(p, q)))
     left = _b_and_elim_l(b, Box(p), Box(q))
     right = _b_and_elim_r(b, Box(p), Box(q))
     return _mp_under(b, _imp_trans(b, left, curried), right)
@@ -666,11 +640,11 @@ def _b_box_conj_iff(b: ProofBuilder, p: Formula, q: Formula) -> int:
 
 
 def _b_box_iff(b: ProofBuilder, p: Formula, q: Formula) -> int:
-    m1 = _box_mono(b, b.axiom(iffimp1(p, q)))
-    m2 = _box_mono(b, b.axiom(iffimp2(p, q)))
-    c1 = _imp_trans(b, m1, b.axiom(k_axiom(p, q)))
-    c2 = _imp_trans(b, m2, b.axiom(k_axiom(q, p)))
-    partial = _imp_trans(b, c1, b.axiom(impiff(Box(p), Box(q))))
+    m1 = _box_mono(b, b.axiom("iffimp1", p, q))
+    m2 = _box_mono(b, b.axiom("iffimp2", p, q))
+    c1 = _imp_trans(b, m1, b.axiom("K", p, q))
+    c2 = _imp_trans(b, m2, b.axiom("K", q, p))
+    partial = _imp_trans(b, c1, b.axiom("impiff", Box(p), Box(q)))
     return _mp_under(b, partial, c2)
 
 
@@ -696,9 +670,10 @@ def conjlist(fs: Sequence[Formula]) -> Formula:
     fs = list(fs)
     if not fs:
         return TRUE
-    if len(fs) == 1:
-        return fs[0]
-    return And(fs[0], conjlist(fs[1:]))
+    acc = fs[-1]
+    for f in reversed(fs[:-1]):
+        acc = And(f, acc)
+    return acc
 
 
 def _b_conjlist_map_box(b: ProofBuilder, fs: Sequence[Formula]) -> int:
@@ -725,14 +700,6 @@ def conjlist_map_box_proof(fs: Sequence[Formula]) -> Proof:
 
 # ---------------------------------------------------------------------------
 # Lemma catalogue
-
-
-def _instantiate(pattern: Formula, subst: Mapping[str, Formula]) -> Formula:
-    """pattern with each atom replaced by its formula in subst, all at once."""
-    if isinstance(pattern, Atom):
-        return subst[pattern.name]
-    parts = children(pattern)
-    return type(pattern)(*(_instantiate(c, subst) for c in parts)) if parts else pattern
 
 
 @dataclass(frozen=True)
@@ -786,8 +753,8 @@ LEMMAS: dict[str, LemmaInfo] = {
         ("iff_refl", "p", "p <-> p", _b_iff_refl),
         ("iff_sym_th", "p q", "(p <-> q) --> (q <-> p)", _b_iff_sym),
         ("box_imp_distr", "p q", "Box (p --> q) --> Box p --> Box q",
-         lambda b, p, q: b.axiom(k_axiom(p, q))),
-        ("lob", "p", "Box (Box p --> p) --> Box p", lambda b, p: b.axiom(gl_axiom(p))),
+         lambda b, p, q: b.axiom("K", p, q)),
+        ("lob", "p", "Box (Box p --> p) --> Box p", lambda b, p: b.axiom("GL", p)),
         ("box_true_iff", "", "Box True <-> True", _b_box_true_iff),
         ("box_and_split_th", "p q", "Box (p && q) --> Box p && Box q", _b_box_and_split),
         ("box_and_join_th", "p q", "Box p && Box q --> Box (p && q)", _b_box_and_join),
@@ -804,10 +771,8 @@ def _lookup(name: str, args: Sequence[Formula]) -> tuple[LemmaInfo, list[Formula
     if info is None:
         raise LookupError(f"unknown lemma: {name!r}")
     args = list(args)
-    if info.arity is not None and len(args) != info.arity:
-        raise ValueError(
-            f"lemma {name} takes {info.arity} formula argument(s), got {len(args)}"
-        )
+    if info.params is not None:
+        _check_arity("lemma", name, info.params, args)
     return info, args
 
 

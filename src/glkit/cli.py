@@ -52,7 +52,11 @@ def _read_formula(arg: str) -> Formula:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # No valid model or proof document nests more than 3 levels.
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(args, text: str, doc: dict) -> None:
@@ -128,12 +132,7 @@ def _cmd_lemma(args) -> int:
     if args.name not in LEMMAS:
         print(f"unknown lemma: {args.name}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        formulas = [_read_formula(a) for a in args.args]
-        pr = lemma(args.name, formulas)
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return USAGE_ERROR
+    pr = lemma(args.name, [_read_formula(a) for a in args.args])
     conclusion = check_proof(pr)
     if args.emit:
         Path(args.emit).write_text(json.dumps(proof_to_json(pr), indent=2) + "\n")

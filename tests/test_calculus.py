@@ -8,11 +8,13 @@ import pytest
 import glkit
 from glkit.calculus import (
     LEMMAS,
+    SCHEMAS,
     AxiomStep,
     MpStep,
     NecStep,
     Proof,
     ProofError,
+    axiom_instance,
     check_proof,
     conjlist,
     conjlist_map_box_proof,
@@ -52,9 +54,32 @@ class TestIsAxiom:
         assert is_axiom(parse("Box p --> p")) is False
 
     def test_every_schema_matches_itself(self):
-        for name, pattern in __import__("glkit.calculus", fromlist=["SCHEMAS"]).SCHEMAS:
+        for name, pattern in SCHEMAS:
             m = match_axiom(pattern)
             assert m is not None and m.schema == name
+
+
+class TestAxiomInstance:
+    def test_at_its_parameters_is_the_pattern(self):
+        # Every schema lists its parameters in alphabetical order.
+        for name, pattern in SCHEMAS:
+            params = sorted({g.name for g in subformulas(pattern) if isinstance(g, Atom)})
+            assert axiom_instance(name, [Atom(x) for x in params]) is pattern
+
+    def test_instance_matches_its_schema(self):
+        f = axiom_instance("K", [Box(a), Imp(a, bb)])
+        assert f == parse("Box (Box a --> a --> b) --> Box Box a --> Box (a --> b)")
+        assert match_axiom(f) == ("K", {"p": Box(a), "q": Imp(a, bb)})
+
+    def test_unknown_name(self):
+        with pytest.raises(LookupError):
+            axiom_instance("no_such_schema", [p])
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ValueError, match="takes 1 formula argument"):
+            axiom_instance("GL", [p, q])
+        with pytest.raises(ValueError, match="takes 0 formula argument"):
+            axiom_instance("true_def", [p])
 
 
 class TestCheckProof:
@@ -117,6 +142,11 @@ class TestConjlist:
 
     def test_right_nested(self):
         assert conjlist([p, q, r]) == And(p, And(q, r))
+
+    def test_long_list(self):
+        f = conjlist([Atom(f"a{i}") for i in range(10_000)])
+        assert f.depth == 9_999
+        assert f.left == Atom("a0") and f.right.left == Atom("a1")
 
 
 class TestConjlistMapBox:
@@ -198,6 +228,12 @@ class TestLemmaCatalogue:
             for step in pr.steps:
                 if isinstance(step, AxiomStep):
                     assert is_axiom(step.formula)
+
+    def test_catalogue_proof_sizes(self):
+        # The total over the catalogue at SAMPLE_ARGS: all steps, axiom steps.
+        proofs = [lemma(name, SAMPLE_ARGS[info.arity]) for name, info in LEMMAS.items()]
+        assert sum(len(pr.steps) for pr in proofs) == 1961
+        assert sum(isinstance(s, AxiomStep) for pr in proofs for s in pr.steps) == 981
 
     def test_no_catalogued_conclusion_is_false(self):
         for name in LEMMAS:

@@ -188,6 +188,14 @@ class TestLemmaCommand:
     def test_arity_mismatch_exit_2(self, capsys):
         assert main(["lemma", "imp_refl", "p", "q"]) == 2
 
+    def test_argument_nested_too_deeply_exit_3(self, capsys):
+        assert main(["lemma", "imp_refl", "Not " * (MAX_DEPTH + 1) + "p"]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_list_too_long_exit_3(self, capsys):
+        assert main(["lemma", "conjlist_map_box", *"abcdefghi"]) == 3
+        assert "size guard" in capsys.readouterr().err
+
 
 class TestBisimCommand:
     def test_pairs_output(self, tmp_path, capsys):
@@ -250,6 +258,24 @@ class TestFrameCheck:
         assert doc["irreflexive"] is False
         assert doc["validates_lob"] is False
         assert doc["itf"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-proof", "{}"],
+        ["check-model", "{}", "p"],
+        ["frame-check", "{}"],
+        ["bisim", "{}", "{}"],
+    ],
+)
+def test_deeply_nested_json_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_usage_error_exit_2():

@@ -369,6 +369,11 @@ class TestConsistent:
     def test_empty(self):
         assert consistent([]) is True
 
+    def test_long_list_meets_the_size_guard(self):
+        # 1500 decision bits exceed the world enumeration limit of 16.
+        with pytest.raises(SizeGuardError):
+            consistent([Atom(f"a{i}") for i in range(1500)])
+
 
 class TestExtendMaximalConsistent:
     def test_already_complete(self):
