@@ -11,14 +11,19 @@ and falsity with definitional schemas for the other connectives, plus
 the modal distribution schema K and the Lob schema GL. The schema table
 below is the only statement of the axioms: the kernel matches its
 patterns (`match_axiom`), and the proof builder only instantiates them
-(`axiom_instance`), so no code but the kernel matches a schema.
+(`axiom_instance`), so no code but the kernel matches a schema. Each
+schema is compiled once, from its table row, into a children-first
+program of constructor steps over the argument positions (`_compile`);
+an instance is one run of that program. Catalogue statements are
+compiled the same way on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .limits import SizeGuardError
 from .syntax import (
@@ -36,15 +41,59 @@ from .syntax import (
     is_atom_name,
     parse,
     print_formula,
+    subformulas,
 )
 
 # ---------------------------------------------------------------------------
 # Axiom schemas
 
-#: The axiom system: name -> (parameter atoms in argument order, pattern).
-#: The parameters act as metavariables ranging over arbitrary formulas.
-_AXIOMS: dict[str, tuple[tuple[str, ...], Formula]] = {
-    name: (tuple(params.split()), parse(text))
+#: A pattern compiled for instantiation (see `_compile`): one entry per
+#: leaf, an argument position or a constant, then the steps
+#: (constructor, a, b) that build the rest.
+_Program = tuple[tuple[int | Formula, ...], tuple[tuple[type, int, int | None], ...]]
+
+
+def _compile(params: Sequence[str], pattern: Formula) -> _Program:
+    """pattern as a program over its parameters, which stand for the
+    arguments in order. Its values align with `subformulas(pattern)`:
+    first the leaves, the smallest, each the argument its atom names or
+    the constant itself, then one step per compound subformula, which
+    applies its constructor to the values at a and b (b is None for Not
+    and Box). The last value is the instance."""
+    subs = subformulas(pattern)
+    pos = {g: i for i, g in enumerate(subs)}
+    leaves: list[int | Formula] = []
+    steps = []
+    for g in subs:
+        kids = children(g)
+        if kids:
+            steps.append((type(g), pos[kids[0]], pos[kids[1]] if len(kids) > 1 else None))
+        else:
+            leaves.append(params.index(g.name) if isinstance(g, Atom) else g)
+    return tuple(leaves), tuple(steps)
+
+
+def _instantiate(program: _Program, args: Sequence[Formula]) -> Formula:
+    """The compiled pattern with every parameter replaced by its argument,
+    all at once."""
+    leaves, steps = program
+    vals = [args[x] if type(x) is int else x for x in leaves]
+    push = vals.append
+    for cls, a, b in steps:
+        push(cls(vals[a]) if b is None else cls(vals[a], vals[b]))
+    return vals[-1]
+
+
+def _schema(params: str, text: str) -> tuple[tuple[str, ...], Formula, _Program]:
+    names, pattern = tuple(params.split()), parse(text)
+    return names, pattern, _compile(names, pattern)
+
+
+#: The axiom system: name -> (parameter atoms in argument order, pattern,
+#: the pattern compiled). The parameters act as metavariables ranging
+#: over arbitrary formulas.
+_AXIOMS: dict[str, tuple[tuple[str, ...], Formula, _Program]] = {
+    name: _schema(params, text)
     for name, params, text in [
         ("addimp", "p q", "p --> q --> p"),
         ("distribimp", "p q r", "(p --> q --> r) --> (p --> q) --> p --> r"),
@@ -63,7 +112,7 @@ _AXIOMS: dict[str, tuple[tuple[str, ...], Formula]] = {
 
 #: The schema patterns in table order, as the kernel tries them.
 SCHEMAS: tuple[tuple[str, Formula], ...] = tuple(
-    (name, pattern) for name, (_, pattern) in _AXIOMS.items()
+    (name, pattern) for name, (_, pattern, _) in _AXIOMS.items()
 )
 
 
@@ -74,23 +123,15 @@ def _check_arity(kind: str, name: str, params: Sequence[str], args: Sequence) ->
         )
 
 
-def _instantiate(pattern: Formula, subst: Mapping[str, Formula]) -> Formula:
-    """pattern with each atom replaced by its formula in subst, all at once."""
-    if isinstance(pattern, Atom):
-        return subst[pattern.name]
-    parts = children(pattern)
-    return type(pattern)(*(_instantiate(c, subst) for c in parts)) if parts else pattern
-
-
 def axiom_instance(name: str, args: Sequence[Formula]) -> Formula:
     """The instance of the named schema at the given formulas, one per
     parameter in order."""
     entry = _AXIOMS.get(name)
     if entry is None:
         raise LookupError(f"unknown axiom schema: {name!r}")
-    params, pattern = entry
+    params, _, program = entry
     _check_arity("axiom schema", name, params, args)
-    return _instantiate(pattern, dict(zip(params, args)))
+    return _instantiate(program, args)
 
 
 class AxiomMatch(NamedTuple):
@@ -208,8 +249,11 @@ def check_proof(pr: Proof) -> Formula:
     return step_formulas(pr)[-1]
 
 
-#: The connectives of proof-document terms, by tag.
-_TERM_TAGS = {cls.__name__: cls for cls in (Not, Box, And, Or, Imp, Iff)}
+#: The connectives of proof-document terms: tag -> (constructor, number
+#: of child ids).
+_TERM_TAGS = {
+    cls.__name__: (cls, len(cls.__match_args__)) for cls in (Not, Box, And, Or, Imp, Iff)
+}
 _TERM_LEAVES = {"True": TRUE, "False": FALSE}
 
 
@@ -255,10 +299,13 @@ def _is_index(x) -> bool:
 
 
 def _load_terms(raws) -> list[Formula]:
-    """Build each term of a proof document's `terms` once."""
+    """Build each term of a proof document's `terms` once, checking it by
+    its shape: a string is True, False or an atom name; a list is a tag
+    and as many child ids as the tag takes, each naming an earlier term."""
     if not isinstance(raws, (list, tuple)):
         raise ValueError("proof field 'terms': expected a list of terms")
     built: list[Formula] = []
+    push = built.append
     for n, raw in enumerate(raws):
         if isinstance(raw, str):
             f = _TERM_LEAVES.get(raw)
@@ -266,28 +313,36 @@ def _load_terms(raws) -> list[Formula]:
                 if not is_atom_name(raw):
                     raise ValueError(f"proof field 'terms', term {n}: not an atom name: {raw!r}")
                 f = Atom(raw)
-        else:
-            tag = raw[0] if isinstance(raw, (list, tuple)) and raw else None
-            cls = _TERM_TAGS.get(tag) if isinstance(tag, str) else None
-            if cls is None:
-                raise ValueError(
-                    f"proof field 'terms', term {n}: expected an atom name, True, "
-                    f"False or [tag, child ids...] with tag one of "
-                    f"{', '.join(_TERM_TAGS)}, got {raw!r}"
-                )
-            kids = raw[1:]
-            if len(kids) != len(cls.__match_args__):
-                raise ValueError(
-                    f"proof field 'terms', term {n}: {tag} takes "
-                    f"{len(cls.__match_args__)} child id(s), got {len(kids)}"
-                )
-            if not all(_is_index(i) and 0 <= i < n for i in kids):
-                raise ValueError(
-                    f"proof field 'terms', term {n}: child ids must name earlier terms, "
-                    f"got {list(kids)!r}"
-                )
-            f = cls(*(built[i] for i in kids))
-        built.append(f)
+            push(f)
+            continue
+        tag = raw[0] if isinstance(raw, (list, tuple)) and raw else None
+        entry = _TERM_TAGS.get(tag) if isinstance(tag, str) else None
+        if entry is None:
+            raise ValueError(
+                f"proof field 'terms', term {n}: expected an atom name, True, "
+                f"False or [tag, child ids...] with tag one of "
+                f"{', '.join(_TERM_TAGS)}, got {raw!r}"
+            )
+        cls, arity = entry
+        if len(raw) != arity + 1:
+            raise ValueError(
+                f"proof field 'terms', term {n}: {tag} takes "
+                f"{arity} child id(s), got {len(raw) - 1}"
+            )
+        # An id is an int that is no bool and names an earlier term.
+        a = raw[1]
+        if (type(a) is int or _is_index(a)) and 0 <= a < n:
+            if arity == 1:
+                push(cls(built[a]))
+                continue
+            b = raw[2]
+            if (type(b) is int or _is_index(b)) and 0 <= b < n:
+                push(cls(built[a], built[b]))
+                continue
+        raise ValueError(
+            f"proof field 'terms', term {n}: child ids must name earlier terms, "
+            f"got {list(raw[1:])!r}"
+        )
     return built
 
 
@@ -724,6 +779,11 @@ class LemmaInfo:
         the list lemma, whose text is informal, has none."""
         return parse(self.text)
 
+    @cached_property
+    def program(self) -> _Program:
+        """The statement compiled over `params`, on first use."""
+        return _compile(self.params, self.statement)
+
 
 LEMMAS: dict[str, LemmaInfo] = {
     name: LemmaInfo(name, None if params is None else tuple(params.split()), text, build)
@@ -788,4 +848,4 @@ def lemma_statement(name: str, args: Sequence[Formula] = ()) -> Formula:
     info, args = _lookup(name, args)
     if info.params is None:
         return Iff(Box(conjlist(args)), conjlist([Box(f) for f in args]))
-    return _instantiate(info.statement, dict(zip(info.params, args)))
+    return _instantiate(info.program, args)

@@ -2,12 +2,15 @@
 
 Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): every constructor call looks its class and
-arguments up in one weak table and returns the single live node with
-that structure. Equality of formulas is therefore identity and hashing
-is O(1). The table holds its nodes weakly, so it only ever holds the
-formulas still in use. Each node stores its node count (`size`), its
-nesting depth (`depth`, 0 for atoms and constants) and its canonical
-key, all computed from its children when it is made.
+arguments up in one table and returns the single live node with that
+structure. Equality of formulas is therefore identity and hashing is
+O(1). The table is a plain dict from (class, *arguments) to a weak
+reference to the node, so it only ever holds the formulas still in use:
+when a node dies, its reference's callback removes the entry, unless a
+node made since under the same key holds it. Each node stores its node
+count (`size`) and its nesting depth (`depth`, 0 for atoms and
+constants), computed from its children when it is made; its canonical
+key is computed on demand.
 
 Concrete grammar: one table, `_CONNECTIVES`, gives each connective's
 token, constructor, binding level and associativity, and both the
@@ -43,16 +46,38 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
 
-# The intern table: (class, *arguments) -> the one live node.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The intern table: (class, *arguments) -> a weak reference to the one
+# live node. Each reference's callback removes its own entry.
+_NODES: dict[tuple, _Ref] = {}
 _set = object.__setattr__
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, nodes: dict = _NODES) -> None:
+    """Callback of a dead node's reference: remove its entry, unless a
+    node made since under the same key holds it now."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _intern(key: tuple, node: Formula) -> Formula:
+    """Enter node, just made, in the table under key."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _NODES[key] = ref
+    return node
 
 
 class Formula:
     """Base class for modal formulas. Instances are immutable and
     interned: two formulas are equal iff they are the same object."""
 
-    __slots__ = ("size", "depth", "_key", "_kids", "_subs", "__weakref__")
+    __slots__ = ("size", "depth", "_kids", "_subs", "__weakref__")
     #: The constructor's arguments, in order.
     __match_args__: tuple[str, ...] = ()
 
@@ -79,27 +104,20 @@ class Formula:
         return f"parse({print_formula(self)!r})"
 
 
-def _make(cls: type, args: tuple, kids: tuple[Formula, ...]) -> Formula:
-    """Make and intern the node cls(*args) whose immediate subformulas
-    are kids; it has no live twin."""
-    for c in kids:
-        if not isinstance(c, Formula):
-            raise TypeError(f"{cls.__name__} takes formulas, got {c!r}")
-    node = object.__new__(cls)
-    for field, value in zip(cls.__match_args__, args):
-        _set(node, field, value)
-    if kids:
-        size = 1 + sum(c.size for c in kids)
-        _set(node, "size", size)
-        _set(node, "depth", 1 + max(c.depth for c in kids))
-        _set(node, "_key", (size, _TAG[cls], *(c._key for c in kids)))
-    else:
+def _leaf(cls: type, key: tuple) -> Formula:
+    """The leaf node cls(*key[1:]), made and interned if it has no live
+    node."""
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        for field, value in zip(cls.__match_args__, key[1:]):
+            _set(node, field, value)
         _set(node, "size", 1)
         _set(node, "depth", 0)
-        _set(node, "_key", (1, _TAG[cls], *args))
-    _set(node, "_kids", kids)
-    _set(node, "_subs", None)
-    _NODES[(cls, *args)] = node
+        _set(node, "_kids", ())
+        _set(node, "_subs", None)
+        _intern(key, node)
     return node
 
 
@@ -107,14 +125,14 @@ class Falsity(Formula):
     __slots__ = ()
 
     def __new__(cls):
-        return _NODES.get((cls,)) or _make(cls, (), ())
+        return _leaf(cls, (cls,))
 
 
 class Truth(Formula):
     __slots__ = ()
 
     def __new__(cls):
-        return _NODES.get((cls,)) or _make(cls, (), ())
+        return _leaf(cls, (cls,))
 
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -131,12 +149,18 @@ class Atom(Formula):
     __match_args__ = ("name",)
 
     def __new__(cls, name: str):
-        node = _NODES.get((cls, name))
+        ref = _NODES.get((cls, name))
+        node = None if ref is None else ref()
         if node is None:
             if not is_atom_name(name):
                 raise ValueError(f"invalid atom name: {name!r}")
-            node = _make(cls, (name,), ())
+            node = _leaf(cls, (cls, name))
         return node
+
+
+def _not_formulas(cls: type, *args) -> TypeError:
+    bad = next(a for a in args if not isinstance(a, Formula))
+    return TypeError(f"{cls.__name__} takes formulas, got {bad!r}")
 
 
 class _Unary(Formula):
@@ -144,7 +168,21 @@ class _Unary(Formula):
     __match_args__ = ("arg",)
 
     def __new__(cls, arg: Formula):
-        return _NODES.get((cls, arg)) or _make(cls, (arg,), (arg,))
+        key = (cls, arg)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if not isinstance(arg, Formula):
+            raise _not_formulas(cls, arg)
+        node = object.__new__(cls)
+        _set(node, "arg", arg)
+        _set(node, "size", arg.size + 1)
+        _set(node, "depth", arg.depth + 1)
+        _set(node, "_kids", (arg,))
+        _set(node, "_subs", None)
+        return _intern(key, node)
 
 
 class _Binary(Formula):
@@ -152,7 +190,23 @@ class _Binary(Formula):
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        return _NODES.get((cls, left, right)) or _make(cls, (left, right), (left, right))
+        key = (cls, left, right)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if not (isinstance(left, Formula) and isinstance(right, Formula)):
+            raise _not_formulas(cls, left, right)
+        node = object.__new__(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        _set(node, "size", left.size + right.size + 1)
+        d, e = left.depth, right.depth
+        _set(node, "depth", (d if d > e else e) + 1)
+        _set(node, "_kids", (left, right))
+        _set(node, "_subs", None)
+        return _intern(key, node)
 
 
 class Not(_Unary):
@@ -194,17 +248,26 @@ def node_count(f: Formula) -> int:
     return f.size
 
 
-def canonical_key(f: Formula):
+def canonical_key(f: Formula) -> tuple:
     """Sort key realizing the package-wide total order on formulas.
 
     Orders by node count, then constructor tag, then on components
-    (atom names lexicographically). Keys of equal-size, equal-tag
-    formulas always have the same shape, so tuple comparison is well
-    defined. The key is stored on the node and built from its
-    children's keys; comparing two keys descends as far as the two
-    formulas agree, so `subformulas` and `canonical_order` sort without
-    comparing keys."""
-    return f._key
+    (atom names lexicographically). The key is flat: the preorder of f's
+    nodes, each as its node count and tag, an atom's name after its tag.
+    A tag fixes the number of children, so no key is a proper prefix of
+    another at the same position, and comparing flat keys orders exactly
+    as comparing the nested keys (size, tag, *children's keys) would,
+    with no recursion. It is computed on each call, in time linear in
+    f's size; `subformulas` and `canonical_order` sort without it."""
+    key: list = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        key += (g.size, _TAG[type(g)])
+        if type(g) is Atom:
+            key.append(g.name)
+        stack += reversed(g._kids)
+    return tuple(key)
 
 
 def _reachable(roots: Iterable[Formula]) -> set[Formula]:
@@ -225,16 +288,18 @@ _SIZE = attrgetter("size")
 def _ordered(nodes: set[Formula]) -> list[Formula]:
     """nodes, a set closed under subformulas, in canonical order.
 
-    The nodes of one size are ordered by their leaf key or by their tag
-    and then their children's positions; children are smaller, so
+    The nodes of one size are ordered by their tag and then by their
+    atom name or their children's positions; children are smaller, so
     their positions are settled first. Within a set closed under
     subformulas this is the order of `canonical_key`, found without
-    comparing keys that nest."""
+    building canonical keys."""
     order: list[Formula] = []
     rank: dict[Formula, int] = {}
 
     def key(g: Formula):
-        return (g._key[1], *map(rank.__getitem__, g._kids)) if g._kids else g._key
+        if g._kids:
+            return (_TAG[type(g)], *map(rank.__getitem__, g._kids))
+        return (_TAG[type(g)], g.name) if type(g) is Atom else (_TAG[type(g)],)
 
     for _, group in groupby(sorted(nodes, key=_SIZE), _SIZE):
         for g in sorted(group, key=key):

@@ -2,19 +2,22 @@
 seeded random-formula/model sampler used by the acceptance criteria, the
 recursive reference evaluator the bit-sliced one is checked against,
 the brute-force saturation that `decide`'s box-pattern sweep is checked
-against, and the deletion algorithm that bisimulation by partition
-refinement is checked against."""
+against, the deletion algorithm that bisimulation by partition
+refinement is checked against, the recursive substitution that the
+compiled schema programs are checked against, and random irreflexive
+transitive models, the semantic oracle for theorem verdicts."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 
 from hypothesis import strategies as st
 
 from glkit.bisim import BisimRelation, _atom_agree, _zigzag_ok
 from glkit.completeness import ClosureContext, World, hintikka_worlds, standard_rel
-from glkit.kripke import Frame, Model
+from glkit.kripke import Frame, Model, extensions
 from glkit.syntax import (
     FALSE,
     TRUE,
@@ -29,6 +32,7 @@ from glkit.syntax import (
     Or,
     Truth,
     atoms,
+    children,
     subformulas,
 )
 
@@ -94,6 +98,28 @@ def random_model(rng: random.Random, max_worlds: int = 6, atom_names=("p", "q"))
         a: frozenset(w for w in range(n) if rng.random() < 0.5) for a in atom_names
     }
     return Model(Frame(worlds, rel), val)
+
+
+def random_itf_model(
+    rng: random.Random, max_worlds: int = 10, atom_names=("p", "q")
+) -> Model:
+    """A random finite irreflexive transitive model: a random strict order
+    on up to max_worlds worlds (forward edges of a random density, closed
+    under transitivity) with a random valuation."""
+    n = rng.randint(1, max_worlds)
+    density = rng.random()
+    rel = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+    for k in range(n):
+        for i in range(k):
+            if (i, k) in rel:
+                rel |= {(i, j) for j in range(k + 1, n) if (k, j) in rel}
+    val = {a: frozenset(w for w in range(n) if rng.random() < 0.5) for a in atom_names}
+    return Model(Frame(frozenset(range(n)), frozenset(rel)), val)
+
+
+def holds_on_models(f: Formula, models) -> bool:
+    """f holds at every world of every model, by `kripke.extensions`."""
+    return all(extensions(m, f)[-1] == m.frame.worlds for m in models)
 
 
 def reference_holds(m: Model, f: Formula, w: int) -> bool:
@@ -174,3 +200,11 @@ def reference_largest_bisimulation(m1: Model, m2: Model) -> BisimRelation:
         if not bad:
             return BisimRelation(frozenset(pairs))
         pairs -= bad
+
+
+def reference_instantiate(pattern: Formula, subst: Mapping[str, Formula]) -> Formula:
+    """pattern with each atom replaced by its formula in subst, all at once."""
+    if isinstance(pattern, Atom):
+        return subst[pattern.name]
+    parts = children(pattern)
+    return type(pattern)(*(reference_instantiate(c, subst) for c in parts)) if parts else pattern

@@ -1,4 +1,6 @@
+import enum
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import glkit
+from glkit import calculus
 from glkit.calculus import (
     LEMMAS,
     SCHEMAS,
@@ -28,7 +31,8 @@ from glkit.calculus import (
 )
 from glkit.kripke import itf_valid_small
 from glkit.limits import SizeGuardError
-from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, parse, print_formula, subformulas
+from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, Not, parse, print_formula, subformulas
+from helpers import random_formula, reference_instantiate
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 a, bb = Atom("a"), Atom("b")
@@ -80,6 +84,51 @@ class TestAxiomInstance:
             axiom_instance("GL", [p, q])
         with pytest.raises(ValueError, match="takes 0 formula argument"):
             axiom_instance("true_def", [p])
+
+
+class TestCompiledPrograms:
+    """The compiled schema and statement programs against the recursive
+    substitution they replace."""
+
+    def test_axiom_instances(self):
+        rng = random.Random(8)
+        for name, (params, pattern, _) in calculus._AXIOMS.items():
+            for _ in range(200):
+                args = [random_formula(rng, 3, ("p", "q", "r")) for _ in params]
+                want = reference_instantiate(pattern, dict(zip(params, args)))
+                assert axiom_instance(name, args) is want
+
+    @pytest.mark.parametrize("name", sorted(LEMMAS))
+    def test_lemma_statements(self, name):
+        info = LEMMAS[name]
+        args = SAMPLE_ARGS[info.arity]
+        if info.params is None:
+            want = Iff(Box(conjlist(args)), conjlist([Box(f) for f in args]))
+        else:
+            want = reference_instantiate(info.statement, dict(zip(info.params, args)))
+        assert lemma_statement(name, args) is want
+
+    def test_lemma_statements_at_random_arguments(self):
+        rng = random.Random(9)
+        for name, info in LEMMAS.items():
+            if info.params is None:
+                continue
+            for _ in range(20):
+                args = [random_formula(rng, 3, ("p", "q", "r")) for _ in info.params]
+                want = reference_instantiate(info.statement, dict(zip(info.params, args)))
+                assert lemma_statement(name, args) is want
+
+    def test_statements_compiled_on_first_use(self):
+        src = str(Path(glkit.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import glkit.cli; from glkit.calculus import LEMMAS, lemma_statement; "
+            "from glkit.syntax import Atom; "
+            "assert not any('program' in vars(i) for i in LEMMAS.values()); "
+            "lemma_statement('imp_refl', [Atom('p')]); "
+            "assert [n for n, i in LEMMAS.items() if 'program' in vars(i)] == ['imp_refl']"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestCheckProof:
@@ -317,6 +366,59 @@ class TestProofJson:
         with pytest.raises(ValueError) as e:
             proof_from_json({"terms": terms, "steps": [{"axiom": 0}]})
         assert f"'terms', term {n}:" in str(e.value) and says in str(e.value)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (["p", ["Not", True]], "child ids must name earlier terms, got [True]"),
+            (["p", ["Not", 0.0]], "child ids must name earlier terms, got [0.0]"),
+            (["p", ["Not", 1]], "child ids must name earlier terms, got [1]"),
+            (["p", ["Imp", 0, False]], "child ids must name earlier terms, got [0, False]"),
+            (["p", "q", ["Not", True]], "child ids must name earlier terms, got [True]"),
+            (["p", "q", ["And", 0, True]], "child ids must name earlier terms, got [0, True]"),
+            (["p", ["Imp", -1, 0]], "child ids must name earlier terms, got [-1, 0]"),
+            (
+                ["p", ["Diamond", 0]],
+                "expected an atom name, True, False or [tag, child ids...] with tag "
+                "one of Not, Box, And, Or, Imp, Iff, got ['Diamond', 0]",
+            ),
+            (
+                ["p", [["Not"], 0]],
+                "expected an atom name, True, False or [tag, child ids...] with tag "
+                "one of Not, Box, And, Or, Imp, Iff, got [['Not'], 0]",
+            ),
+            (["p", ["Not", 0, 0]], "Not takes 1 child id(s), got 2"),
+            (["p", ["Box"]], "Box takes 1 child id(s), got 0"),
+            (["p", ["And", 0]], "And takes 2 child id(s), got 1"),
+            (["p", ["Or", 0, 0, 0]], "Or takes 2 child id(s), got 3"),
+            (["p", ["Imp"]], "Imp takes 2 child id(s), got 0"),
+            (["p", ["Iff", 0, 0, 0]], "Iff takes 2 child id(s), got 3"),
+            (["p", "1x"], "not an atom name: '1x'"),
+            (("p", ("Imp", 0)), "Imp takes 2 child id(s), got 1"),
+            (("p", ("Not", 0.5)), "child ids must name earlier terms, got [0.5]"),
+            (("p", ("Or", 0, True)), "child ids must name earlier terms, got [0, True]"),
+            (
+                ("p", ("Nope", 0)),
+                "expected an atom name, True, False or [tag, child ids...] with tag "
+                "one of Not, Box, And, Or, Imp, Iff, got ('Nope', 0)",
+            ),
+        ],
+    )
+    def test_malformed_term_messages(self, terms, message):
+        with pytest.raises(ValueError) as e:
+            proof_from_json({"terms": terms, "steps": [{"axiom": 0}]})
+        assert str(e.value) == f"proof field 'terms', term {len(terms) - 1}: {message}"
+
+    def test_terms_from_a_python_caller(self):
+        # Tuples for lists, and ids that are ints of a subclass other
+        # than bool, load as in a JSON document.
+        class Id(enum.IntEnum):
+            P = 0
+            NOT_P = 1
+
+        terms = ("p", ("Not", Id.P), ["Imp", Id.NOT_P, 0], ("Box", 2))
+        pr = proof_from_json({"terms": terms, "steps": [{"axiom": 3}]})
+        assert pr.steps[0].formula is parse("Box (Not p --> p)")
 
     def test_axiom_id_out_of_range(self):
         with pytest.raises(ValueError, match="'steps', step 1"):

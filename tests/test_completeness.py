@@ -20,7 +20,7 @@ from glkit.completeness import (
     standard_rel,
     verify_certificate,
 )
-from glkit.kripke import holds, is_itf
+from glkit.kripke import holds, is_itf, itf_valid_small
 from glkit.limits import SizeGuardError
 from glkit.syntax import (
     FALSE,
@@ -33,7 +33,13 @@ from glkit.syntax import (
     parse,
     print_formula,
 )
-from helpers import random_formula, reference_saturated
+from helpers import (
+    box_subformula_count,
+    holds_on_models,
+    random_formula,
+    random_itf_model,
+    reference_saturated,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -354,6 +360,40 @@ class TestVerifyCertificate:
     def test_theorem_has_no_certificate(self):
         with pytest.raises(TypeError):
             verify_certificate(Theorem(p))  # type: ignore[arg-type]
+
+
+class TestTheoremOracle:
+    """Theorem verdicts against random irreflexive transitive models of up
+    to 10 worlds: a stronger check than every frame of at most 3 worlds,
+    since refuting a formula with b boxes can need a chain of b + 1."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = random.Random(41)
+        return [random_itf_model(rng) for _ in range(300)]
+
+    def test_models_are_itf(self, models):
+        assert all(is_itf(m.frame) for m in models)
+        assert max(len(m.frame.worlds) for m in models) == 10
+
+    def test_theorems_with_three_boxes_hold(self, models):
+        rng = random.Random(43)
+        theorems = 0
+        while theorems < 60:
+            f = random_formula(rng, 5)
+            if box_subformula_count(f) >= 3 and isinstance(decide(f), Theorem):
+                theorems += 1
+                assert holds_on_models(f, models), print_formula(f)
+
+    def test_box_box_box_false(self, models):
+        # It holds on every frame of at most 3 worlds, but not on a chain
+        # of 4: the oracle refutes it and decide does too.
+        f = parse("Box Box Box False")
+        assert itf_valid_small(f, 3)
+        assert not holds_on_models(f, models)
+        v = decide(f)
+        assert isinstance(v, Countermodel) and verify_certificate(v)
+        assert len(v.model.worlds) == 4
 
 
 class TestConsistent:

@@ -172,11 +172,34 @@ def test_canonical_key_total_order():
 
 
 def _reference_key(f):
-    """The canonical key by its recursive definition."""
-    tag = syntax._TAG[type(f)]
+    """The canonical key by its recursive definition: f's node count and
+    tag, an atom's name, then its children's keys in order."""
+    head = (node_count(f), syntax._TAG[type(f)])
     if isinstance(f, Atom):
-        return (1, tag, f.name)
-    return (node_count(f), tag) + tuple(_reference_key(c) for c in children(f))
+        return (*head, f.name)
+    return sum((_reference_key(c) for c in children(f)), head)
+
+
+def _nested_key(f):
+    """The key as nested tuples, (size, tag, *children's keys), an atom's
+    name in place of its children."""
+    head = (node_count(f), syntax._TAG[type(f)])
+    if isinstance(f, Atom):
+        return (*head, f.name)
+    return (*head, *map(_nested_key, children(f)))
+
+
+@given(st.lists(formulas(max_leaves=8), min_size=2, max_size=8))
+def test_flat_key_orders_as_the_nested_key(fs):
+    assert sorted(set(fs), key=canonical_key) == sorted(set(fs), key=_nested_key)
+
+
+def test_deep_twins_sort_by_canonical_key():
+    # Two 1500-deep chains that differ only in their atoms: comparing
+    # their keys must not recurse.
+    fs = [parse("Not " * 1500 + "q"), parse("Not " * 1500 + "p")]
+    assert sorted(fs, key=canonical_key) == list(canonical_order(fs))
+    assert sorted(fs, key=canonical_key)[0] is fs[1]
 
 
 class TestInterning:
@@ -229,6 +252,34 @@ class TestInterning:
             assert len(syntax._NODES) == size
         finally:
             gc.enable()
+
+    def test_rebuilt_node_is_interned(self):
+        gc.disable()
+        try:
+            size = len(syntax._NODES)
+            x = Atom("rebuilt")
+            Not(x)  # dies at once
+            assert len(syntax._NODES) == size + 1
+            assert Not(x) is Not(x)
+            y = Imp(Not(x), x)
+            assert y.left is Not(x) and Imp(Not(x), x) is y
+            del x, y
+            assert len(syntax._NODES) == size
+        finally:
+            gc.enable()
+
+    def test_late_callback_keeps_a_live_twin(self):
+        # A dead node's reference whose callback runs after a twin took
+        # its key leaves the twin's entry alone.
+        x = Atom("late")
+        f = Not(x)
+        stale = syntax._NODES[(Not, x)]
+        del f
+        assert stale() is None and (Not, x) not in syntax._NODES
+        twin = Not(x)
+        syntax._forget(stale)
+        assert syntax._NODES[(Not, x)]() is twin
+        assert Not(x) is twin
 
     def test_table_bounded_over_20000_decides(self):
         # Only the bounded caches keep formulas alive; with them cleared,
