@@ -128,6 +128,20 @@ def _cmd_check_proof(args) -> int:
     return 0
 
 
+def _cmd_check_cert(args) -> int:
+    doc = _load_json(args.cert)
+    # The loader prints the target's whole signed closure, so the depth
+    # bound applies before it runs.
+    target = doc.get("target") if isinstance(doc, dict) else None
+    if isinstance(target, str):
+        check_depth(parse(target))
+    if verify_certificate(certificate_from_json(doc)):
+        _emit(args, "certificate verified", {"ok": True})
+        return 0
+    _emit(args, "certificate rejected", {"ok": False})
+    return 1
+
+
 def _cmd_lemma(args) -> int:
     if args.name not in LEMMAS:
         print(f"unknown lemma: {args.name}", file=sys.stderr)
@@ -205,6 +219,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("proof")
     common(sp)
     sp.set_defaults(fn=_cmd_check_proof)
+
+    sp = sub.add_parser("check-cert", help="load and verify a countermodel certificate")
+    sp.add_argument("cert")
+    common(sp)
+    sp.set_defaults(fn=_cmd_check_cert)
 
     sp = sub.add_parser("lemma", help="build a catalogued lemma proof")
     sp.add_argument("name")

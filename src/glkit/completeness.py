@@ -29,6 +29,13 @@ with the membership valuation. Generated submodels preserve truth.
 `verify_certificate` re-checks a certificate from first principles
 (frame shape, membership/truth agreement, falsification) by evaluating
 the closure on the certificate's own relation.
+
+Serialization: a certificate is a model document plus the target, the
+witness and each world's members as text. `certificate_to_json` prints
+the signed closure once, children first (`syntax.print_closure`), and
+looks each member's text up among those texts; `certificate_from_json`
+looks member strings up in the same table and parses only those it
+misses.
 """
 
 from __future__ import annotations
@@ -48,7 +55,9 @@ from .syntax import (
     Not,
     canonical_order,
     parse,
+    print_closure,
     print_formula,
+    signed_subformulas,
     subformulas,
 )
 
@@ -71,7 +80,7 @@ class ClosureContext:
 
 def closure_context(target: Formula) -> ClosureContext:
     closure = subformulas(target)
-    signed = canonical_order([*closure, *map(Not, closure)])
+    signed = signed_subformulas(target)
     decisions = tuple(q for q in closure if isinstance(q, (Atom, Box)))
     return ClosureContext(target, closure, signed, decisions)
 
@@ -387,12 +396,17 @@ def extend_maximal_consistent(
 
 
 def certificate_to_json(v: Countermodel) -> dict:
+    """The certificate as a model document plus `target`, `witness` and
+    `world_contents`. The signed closure is printed once, children
+    first, and each member's text is looked up there; a member from
+    outside it is printed on its own."""
     sm = v.model
+    text = print_closure(sm.context.signed_closure)
     doc = kripke.model_to_json(sm.to_model())
-    doc["target"] = print_formula(sm.target)
+    doc["target"] = text[sm.target]
     doc["witness"] = f"w{sm.worlds.index(v.witness)}"
     doc["world_contents"] = {
-        f"w{i}": [print_formula(m) for m in w.members]
+        f"w{i}": [text.get(m) or print_formula(m) for m in w.members]
         for i, w in enumerate(sm.worlds)
     }
     return doc
@@ -419,10 +433,10 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
             "world names to lists of formula strings"
         )
     # Members are looked up by their printed form among the target's
-    # signed closure, and parsed only when that misses.
+    # signed closure, printed once, and parsed only when that misses.
     f = parse(target)
     ctx = closure_context(f)
-    printed = {print_formula(s): s for s in ctx.signed_closure}
+    printed = {s: g for g, s in print_closure(ctx.signed_closure).items()}
     worlds = []
     for nm in names:
         if nm not in contents:

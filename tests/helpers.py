@@ -4,7 +4,8 @@ recursive reference evaluator the bit-sliced one is checked against,
 the brute-force saturation that `decide`'s box-pattern sweep is checked
 against, the deletion algorithm that bisimulation by partition
 refinement is checked against, the recursive substitution that the
-compiled schema programs are checked against, and random irreflexive
+compiled schema programs are checked against, the re-sorted signed
+closure that the merged one is checked against, and random irreflexive
 transitive models, the semantic oracle for theorem verdicts."""
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from glkit.syntax import (
     Or,
     Truth,
     atoms,
+    canonical_order,
     children,
     subformulas,
 )
@@ -208,3 +210,9 @@ def reference_instantiate(pattern: Formula, subst: Mapping[str, Formula]) -> For
         return subst[pattern.name]
     parts = children(pattern)
     return type(pattern)(*(reference_instantiate(c, subst) for c in parts)) if parts else pattern
+
+
+def reference_signed_closure(closure) -> tuple[Formula, ...]:
+    """closure and the negation of each member, sorted afresh in
+    canonical order."""
+    return canonical_order([*closure, *map(Not, closure)])

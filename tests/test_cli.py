@@ -76,6 +76,51 @@ class TestDecideCommand:
         assert dot.read_text().startswith("digraph")
 
 
+@pytest.fixture
+def cert_doc(tmp_path):
+    """The certificate `decide --cert` writes for Box p --> p."""
+    path = tmp_path / "cert.json"
+    assert main(["decide", "Box p --> p", "--cert", str(path)]) == 1
+    return json.loads(path.read_text())
+
+
+class TestCheckCert:
+    def test_decide_output_verifies(self, tmp_path, capsys, cert_doc):
+        capsys.readouterr()
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 0
+        assert capsys.readouterr().out == "certificate verified\n"
+
+    def test_tampered_member_list_rejected(self, tmp_path, capsys, cert_doc):
+        # Box p holds at the witness, which no longer lists it.
+        cert_doc["world_contents"][cert_doc["witness"]].remove("Box p")
+        path = write_model(tmp_path, cert_doc)
+        capsys.readouterr()
+        assert main(["check-cert", path]) == 1
+        assert capsys.readouterr().out == "certificate rejected\n"
+        assert main(["check-cert", path, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"ok": False}
+
+    def test_missing_world_contents_exit_2(self, tmp_path, capsys, cert_doc):
+        del cert_doc["world_contents"]
+        capsys.readouterr()
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'world_contents'" in captured.err
+
+    def test_undeclared_witness_exit_2(self, tmp_path, capsys, cert_doc):
+        cert_doc["witness"] = "w99"
+        capsys.readouterr()
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
+        assert "undeclared witness world: 'w99'" in capsys.readouterr().err
+
+    def test_target_nested_too_deeply_exit_3(self, tmp_path, capsys, cert_doc):
+        cert_doc["target"] = "Not " * (MAX_DEPTH + 1) + "p"
+        capsys.readouterr()
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 class TestCheckModel:
     def test_holds(self, tmp_path, capsys):
         path = write_model(
@@ -267,6 +312,7 @@ class TestFrameCheck:
         ["check-model", "{}", "p"],
         ["frame-check", "{}"],
         ["bisim", "{}", "{}"],
+        ["check-cert", "{}"],
     ],
 )
 def test_deeply_nested_json_exit_2(tmp_path, capsys, argv):

@@ -3,8 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given
 
-from glkit import completeness
+from glkit import completeness, kripke
 from glkit.completeness import (
     Countermodel,
     Theorem,
@@ -35,10 +36,12 @@ from glkit.syntax import (
 )
 from helpers import (
     box_subformula_count,
+    formulas,
     holds_on_models,
     random_formula,
     random_itf_model,
     reference_saturated,
+    reference_signed_closure,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -449,7 +452,62 @@ class TestExtendMaximalConsistent:
         assert all(s in m for s in seed)
 
 
+def reference_certificate_json(v: Countermodel) -> dict:
+    """The certificate document with every member printed on its own."""
+    sm = v.model
+    doc = kripke.model_to_json(sm.to_model())
+    doc["target"] = print_formula(sm.target)
+    doc["witness"] = f"w{sm.worlds.index(v.witness)}"
+    doc["world_contents"] = {
+        f"w{i}": [print_formula(m) for m in w.members] for i, w in enumerate(sm.worlds)
+    }
+    return doc
+
+
+class TestSignedClosure:
+    @given(formulas())
+    def test_equals_the_reference(self, f):
+        ctx = closure_context(f)
+        assert ctx.signed_closure == reference_signed_closure(ctx.closure)
+
+    @given(formulas(max_leaves=8))
+    def test_targets_holding_negations(self, f):
+        g = Imp(Not(f), Not(Not(f)))
+        ctx = closure_context(g)
+        assert ctx.signed_closure == reference_signed_closure(ctx.closure)
+
+
 class TestCertificateJson:
+    @given(formulas(max_leaves=10))
+    def test_equals_the_reference_document(self, f):
+        v = decide(f)
+        if isinstance(v, Countermodel):
+            assert json.dumps(certificate_to_json(v)) == json.dumps(reference_certificate_json(v))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p --> q --> r",
+            "(p --> q) --> r",
+            "p && q && r || p && (q || r)",
+            "Not (p && q)",
+            "Box Not Box p",
+            "(p <-> q) <-> r",
+        ],
+    )
+    def test_pinned_documents(self, text):
+        v = decide(parse(text))
+        doc = certificate_to_json(v)
+        assert doc["target"] == text
+        assert doc == reference_certificate_json(v)
+        assert certificate_from_json(doc) == v
+
+    def test_member_outside_the_closure_prints_on_its_own(self):
+        doc = certificate_to_json(decide(parse("Box p")))
+        doc["world_contents"]["w0"].append("Box Box Box q")
+        v = certificate_from_json(doc)
+        assert certificate_to_json(v) == doc == reference_certificate_json(v)
+
     def test_round_trip(self):
         v = decide(parse("Box p --> p"))
         doc = json.loads(json.dumps(certificate_to_json(v)))

@@ -29,10 +29,12 @@ from glkit.syntax import (
     children,
     node_count,
     parse,
+    print_closure,
     print_formula,
+    signed_subformulas,
     subformulas,
 )
-from helpers import formulas, random_formula
+from helpers import formulas, random_formula, reference_signed_closure
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -120,6 +122,51 @@ class TestPrint:
     @given(formulas())
     def test_round_trip(self, f):
         assert parse(print_formula(f)) == f
+
+
+# Texts whose parentheses follow from associativity or binding level.
+PINNED = [
+    "p --> q --> r",
+    "(p --> q) --> r",
+    "p && q && r || p && (q || r)",
+    "(p || q) && r && (p && q || r)",
+    "Not (p && q)",
+    "Box Not Box p",
+    "(p <-> q) <-> r",
+    "p <-> q <-> r",
+]
+
+
+class TestPrintClosure:
+    @pytest.mark.parametrize("text", PINNED)
+    def test_pinned(self, text):
+        f = parse(text)
+        printed = print_closure(signed_subformulas(f))
+        assert printed[f] == text
+        negated = f"Not {text}" if isinstance(f, (Not, Box)) else f"Not ({text})"
+        assert printed[Not(f)] == negated
+        assert printed == {g: print_formula(g) for g in signed_subformulas(f)}
+
+    @given(formulas())
+    def test_agrees_with_print_formula(self, f):
+        signed = signed_subformulas(f)
+        printed = print_closure(signed)
+        assert list(printed) == list(signed)
+        assert all(printed[g] == print_formula(g) for g in signed)
+
+
+class TestSignedSubformulas:
+    # The last four hold negations already, which the merge keeps once.
+    @pytest.mark.parametrize(
+        "text",
+        [*PINNED, "Not p", "Not Not p", "Not p && Not Not p", "Box Not Not Box Not p --> Not p"],
+    )
+    def test_pinned(self, text):
+        f = parse(text)
+        signed = signed_subformulas(f)
+        assert signed == reference_signed_closure(subformulas(f))
+        assert len(signed) == len(set(signed))
+        assert set(signed) == set(subformulas(f)) | {Not(g) for g in subformulas(f)}
 
 
 class TestSubformulas:
