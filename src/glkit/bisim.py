@@ -29,13 +29,12 @@ worlds are ignored throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kripke import Model
 
 
-@dataclass(frozen=True)
-class BisimRelation:
+class BisimRelation(NamedTuple):
     pairs: frozenset[tuple[int, int]]
 
 

@@ -21,7 +21,6 @@ compiled the same way on first use.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -174,27 +173,23 @@ def is_axiom(f: Formula) -> bool:
 # Proof objects and the trusted checker
 
 
-@dataclass(frozen=True)
-class AxiomStep:
+class AxiomStep(NamedTuple):
     formula: Formula
 
 
-@dataclass(frozen=True)
-class MpStep:
+class MpStep(NamedTuple):
     major: int
     minor: int
 
 
-@dataclass(frozen=True)
-class NecStep:
+class NecStep(NamedTuple):
     premise: int
 
 
 Step = AxiomStep | MpStep | NecStep
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     steps: tuple[Step, ...]
 
 
@@ -757,17 +752,32 @@ def conjlist_map_box_proof(fs: Sequence[Formula]) -> Proof:
 # Lemma catalogue
 
 
-@dataclass(frozen=True)
 class LemmaInfo:
     """A catalogue entry. `text` states the lemma in the concrete syntax
     over the atoms `params`, which stand for the formula arguments in
     order. `params` is None for the one lemma over a formula list
-    (length <= 8), whose text is informal."""
+    (length <= 8), whose text is informal. Immutable."""
 
-    name: str
-    params: tuple[str, ...] | None
-    text: str
-    build: Callable[..., int]
+    def __init__(self, name: str, params: tuple[str, ...] | None, text: str,
+                 build: Callable[..., int]):
+        self.__dict__.update(name=name, params=params, text=text, build=build)
+
+    def _key(self) -> tuple:
+        return self.name, self.params, self.text, self.build
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "LemmaInfo(name={!r}, params={!r}, text={!r}, build={!r})".format(*self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"lemma entries are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def arity(self) -> int | None:

@@ -13,7 +13,6 @@ Formula arguments are taken inline, or from a file with @path.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -177,7 +176,7 @@ def _cmd_bisim(args) -> int:
 def _cmd_frame_check(args) -> int:
     m, _ = kripke.model_from_json(_load_json(args.model))
     rep = kripke.frame_report(m.frame)
-    fields = dataclasses.asdict(rep)
+    fields = rep._asdict()
     itf = kripke.is_itf(m.frame)
     if args.dot:
         Path(args.dot).write_text(kripke.frame_to_dot(m.frame) + "\n")

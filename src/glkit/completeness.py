@@ -40,9 +40,9 @@ misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 from . import kripke
 from .calculus import conjlist
@@ -63,9 +63,11 @@ from .syntax import (
 
 MAX_DECISION_BITS = 16
 
+# Records set their fields past their own refusing __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ClosureContext:
+
+class ClosureContext(NamedTuple):
     """Subformula closure of a target plus its signed extension.
 
     `decisions` are the closure members whose truth value is free (atoms
@@ -85,11 +87,28 @@ def closure_context(target: Formula) -> ClosureContext:
     return ClosureContext(target, closure, signed, decisions)
 
 
-@dataclass(frozen=True)
 class World:
-    """Canonically ordered members drawn from a signed closure."""
+    """Canonically ordered members drawn from a signed closure. Immutable;
+    equal members make equal worlds."""
 
-    members: tuple[Formula, ...]
+    def __init__(self, members: tuple[Formula, ...]):
+        _set(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash(self.members)
+
+    def __repr__(self):
+        return f"World(members={self.members!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"worlds are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def member_set(self) -> frozenset[Formula]:
@@ -245,24 +264,45 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
 # Verdicts and certificates
 
 
-@dataclass(frozen=True)
 class StandardModel:
     """Countermodel carrier: saturated worlds, the standard relation as
     index pairs into `worlds`, membership valuation left implicit.
     `context` is closure_context(target): `decide` and
     `certificate_from_json` pass in the one they computed, and it is
-    computed here when left out."""
+    computed here when left out. Immutable; equality, hash and repr
+    leave `context` out, since the target determines it."""
 
-    target: Formula
-    worlds: tuple[World, ...]
-    rel: tuple[tuple[int, int], ...]
-    context: ClosureContext = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.context is None:
-            object.__setattr__(self, "context", closure_context(self.target))
-        elif self.context.target != self.target:
+    def __init__(
+        self,
+        target: Formula,
+        worlds: tuple[World, ...],
+        rel: tuple[tuple[int, int], ...],
+        context: ClosureContext | None = None,
+    ):
+        if context is None:
+            context = closure_context(target)
+        elif context.target != target:
             raise ValueError("the closure context belongs to another target")
+        _set(self, "target", target)
+        _set(self, "worlds", worlds)
+        _set(self, "rel", rel)
+        _set(self, "context", context)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.target, self.worlds, self.rel) == (other.target, other.worlds, other.rel)
+
+    def __hash__(self):
+        return hash((self.target, self.worlds, self.rel))
+
+    def __repr__(self):
+        return f"StandardModel(target={self.target!r}, worlds={self.worlds!r}, rel={self.rel!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"standard models are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def to_model(self) -> Model:
         names = sorted(
@@ -278,13 +318,11 @@ class StandardModel:
         return Model(frame, val)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     formula: Formula
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(NamedTuple):
     model: StandardModel
     witness: World
 

@@ -13,10 +13,10 @@ valuations 2**12 at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .limits import SizeGuardError
 from .syntax import (
@@ -40,6 +40,9 @@ from .syntax import (
 # equivalent to validity of this instance over all valuations.
 LOB_INSTANCE = parse("Box (Box p --> p) --> Box p")
 
+# Records set their fields past their own refusing __setattr__.
+_set = object.__setattr__
+
 
 class _Layout(NamedTuple):
     """A frame's worlds in sorted order; a world's position is its bit."""
@@ -49,10 +52,29 @@ class _Layout(NamedTuple):
     box_masks: tuple[tuple[int, int], ...]  # (successor mask, own bit), per position
 
 
-@dataclass(frozen=True)
 class Frame:
-    worlds: frozenset[int]
-    rel: frozenset[tuple[int, int]]
+    """Worlds and the relation over them. Immutable; equal worlds and
+    relation make equal frames."""
+
+    def __init__(self, worlds: frozenset[int], rel: frozenset[tuple[int, int]]):
+        _set(self, "worlds", worlds)
+        _set(self, "rel", rel)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.worlds == other.worlds and self.rel == other.rel
+
+    def __hash__(self):
+        return hash((self.worlds, self.rel))
+
+    def __repr__(self):
+        return f"Frame(worlds={self.worlds!r}, rel={self.rel!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"frames are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -70,14 +92,12 @@ class Frame:
         )
 
 
-@dataclass(frozen=True, eq=True)
-class Model:
+class Model(NamedTuple):
     frame: Frame
     val: Mapping[str, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     nonempty: bool
     relation_well_typed: bool
     finite: bool
@@ -330,6 +350,19 @@ def frame_report(fr: Frame) -> FrameReport:
     )
 
 
+def _frames(n: int, loops: bool) -> Iterator[Frame]:
+    """Frames on worlds {0..k-1} for k = 1..n, with every relation, or
+    with every irreflexive one when loops is false. Order: k ascending,
+    then the relation read as a bit mask over the pairs (i, j) it may
+    hold, ordered by i*k + j."""
+    for k in range(1, n + 1):
+        worlds = frozenset(range(k))
+        pairs = [(i, j) for i in range(k) for j in range(k) if loops or i != j]
+        for mask in range(1 << len(pairs)):
+            rel = frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
+            yield Frame(worlds, rel)
+
+
 def enumerate_frames(n: int) -> Iterator[Frame]:
     """All frames on worlds {0..k-1} for k = 1..n, every relation included.
 
@@ -338,17 +371,15 @@ def enumerate_frames(n: int) -> Iterator[Frame]:
     """
     if not 1 <= n <= 4:
         raise SizeGuardError(f"frame enumeration supports 1 <= n <= 4, got {n}")
-    for k in range(1, n + 1):
-        worlds = frozenset(range(k))
-        pairs = [(i, j) for i in range(k) for j in range(k)]
-        for mask in range(1 << (k * k)):
-            rel = frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
-            yield Frame(worlds, rel)
+    yield from _frames(n, True)
 
 
 @lru_cache(maxsize=4)
 def _itf_frames(n: int) -> tuple[Frame, ...]:
-    return tuple(fr for fr in enumerate_frames(n) if is_itf(fr))
+    # An ITF relation is irreflexive, so only loop-free relations are
+    # built (69 rather than 530 at n = 3). Dropping the diagonal bits
+    # keeps the mask order, so the frames come in enumerate_frames' order.
+    return tuple(fr for fr in _frames(n, False) if is_itf(fr))
 
 
 def itf_valid_small(f: Formula, n: int) -> bool:

@@ -304,6 +304,22 @@ class TestFrameCheck:
         assert doc["validates_lob"] is False
         assert doc["itf"] is False
 
+    def test_output_pinned(self, tmp_path, capsys):
+        # The field order is FrameReport's.
+        path = write_model(tmp_path, {"worlds": ["u", "v"], "rel": [["u", "v"], ["v", "v"]]})
+        assert main(["frame-check", path]) == 1
+        assert capsys.readouterr().out == (
+            "nonempty: true\nrelation_well_typed: true\nfinite: true\n"
+            "irreflexive: false\ntransitive: true\nacyclic: false\n"
+            "validates_lob: false\nitf: false\n"
+        )
+        assert main(["frame-check", path, "--json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"nonempty": true, "relation_well_typed": true, "finite": true, '
+            '"irreflexive": false, "transitive": true, "acyclic": false, '
+            '"validates_lob": false, "itf": false}\n'
+        )
+
 
 @pytest.mark.parametrize(
     "argv",

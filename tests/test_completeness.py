@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -8,6 +7,7 @@ from hypothesis import given
 from glkit import completeness, kripke
 from glkit.completeness import (
     Countermodel,
+    StandardModel,
     Theorem,
     World,
     certificate_from_json,
@@ -251,7 +251,7 @@ class TestLargeChains:
     def test_context_of_another_target_rejected(self):
         v = decide(_chain(6, False))
         with pytest.raises(ValueError):
-            dataclasses.replace(v.model, target=parse("p"))
+            StandardModel(parse("p"), v.model.worlds, v.model.rel, v.model.context)
 
 
 class TestDecide:

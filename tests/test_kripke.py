@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from glkit.kripke import (
     LOB_INSTANCE,
     Frame,
+    _itf_frames,
     Model,
     acyclic,
     enumerate_frames,
@@ -194,6 +195,13 @@ class TestEnumeration:
             list(enumerate_frames(5))
         with pytest.raises(SizeGuardError):
             list(enumerate_frames(0))
+
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 23)])
+    def test_itf_table_is_the_filtered_enumeration(self, n, count):
+        want = tuple(fr for fr in enumerate_frames(n) if is_itf(fr))
+        assert len(want) == count
+        assert _itf_frames(n) == want
 
 
 class TestItfValidSmall:
