@@ -37,6 +37,7 @@ from .syntax import (
     Not,
     Or,
     children,
+    conjlist,
     is_atom_name,
     parse,
     print_formula,
@@ -250,6 +251,7 @@ _TERM_TAGS = {
     cls.__name__: (cls, len(cls.__match_args__)) for cls in (Not, Box, And, Or, Imp, Iff)
 }
 _TERM_LEAVES = {"True": TRUE, "False": FALSE}
+_LEAF_TEXT = {f: text for text, f in _TERM_LEAVES.items()}
 
 
 def proof_to_json(pr: Proof) -> dict:
@@ -258,30 +260,31 @@ def proof_to_json(pr: Proof) -> dict:
     [tag, child ids...]; an axiom step names its formula's term id."""
     terms: list = []
     ids: dict[Formula, int] = {}
-
-    def term(f: Formula) -> int:
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            if g in ids:
-                stack.pop()
-                continue
-            kids = children(g)
-            todo = [c for c in kids if c not in ids]
-            if todo:
-                stack += reversed(todo)
-                continue
-            stack.pop()
-            ids[g] = len(terms)
-            terms.append(
-                [type(g).__name__, *(ids[c] for c in kids)] if kids else print_formula(g)
-            )
-        return ids[f]
-
+    get = ids.get
     steps: list[dict] = []
     for step in pr.steps:
         if isinstance(step, AxiomStep):
-            steps.append({"axiom": term(step.formula)})
+            f = step.formula
+            # A node is numbered once its children are; one that lacks a
+            # child id goes back on the stack under its missing children.
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                if g in ids:
+                    continue
+                kids = children(g)
+                row = [type(g).__name__]
+                for c in kids:
+                    n = get(c)
+                    if n is None:
+                        stack.append(g)
+                        stack += [k for k in reversed(kids) if k not in ids]
+                        break
+                    row.append(n)
+                else:
+                    ids[g] = len(terms)
+                    terms.append(row if kids else _LEAF_TEXT.get(g) or g.name)
+            steps.append({"axiom": ids[f]})
         elif isinstance(step, MpStep):
             steps.append({"mp": [step.major, step.minor]})
         else:
@@ -713,17 +716,6 @@ def _b_and_congr_r(b: ProofBuilder, c: Formula, i: int) -> int:
     fwd = direction(a, a2, _iff_elim1(b, i))
     bwd = direction(a2, a, _iff_elim2(b, i))
     return _iff_intro(b, fwd, bwd)
-
-
-def conjlist(fs: Sequence[Formula]) -> Formula:
-    """Right-nested conjunction: True for [], the element itself for [f]."""
-    fs = list(fs)
-    if not fs:
-        return TRUE
-    acc = fs[-1]
-    for f in reversed(fs[:-1]):
-        acc = And(f, acc)
-    return acc
 
 
 def _b_conjlist_map_box(b: ProofBuilder, fs: Sequence[Formula]) -> int:

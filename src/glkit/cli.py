@@ -8,6 +8,10 @@ re-check of `decide --cert`, which reloads and verifies its certificate
 before writing it and writes nothing if that fails. With --json a
 single JSON document is written to stdout; diagnostics go to stderr.
 Formula arguments are taken inline, or from a file with @path.
+
+The proof kernel (`calculus`) and `bisim` are imported inside the
+commands that use them, so `decide`, `check-cert`, `parse`,
+`check-model` and `frame-check` load neither.
 """
 
 from __future__ import annotations
@@ -17,17 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bisim as bisim_mod
 from . import kripke
-from .calculus import (
-    LEMMAS,
-    AxiomStep,
-    ProofError,
-    check_proof,
-    lemma,
-    proof_from_json,
-    proof_to_json,
-)
 from .completeness import (
     Theorem,
     certificate_from_json,
@@ -108,6 +102,8 @@ def _cmd_check_model(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
+    from .calculus import AxiomStep, ProofError, check_proof, proof_from_json
+
     pr = proof_from_json(_load_json(args.proof))
     for step in pr.steps:
         if isinstance(step, AxiomStep):
@@ -142,6 +138,8 @@ def _cmd_check_cert(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    from .calculus import LEMMAS, check_proof, lemma, proof_to_json
+
     if args.name not in LEMMAS:
         print(f"unknown lemma: {args.name}", file=sys.stderr)
         return USAGE_ERROR
@@ -162,9 +160,11 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
+    from .bisim import largest_bisimulation
+
     m1, names1 = kripke.model_from_json(_load_json(args.model1))
     m2, names2 = kripke.model_from_json(_load_json(args.model2))
-    z = bisim_mod.largest_bisimulation(m1, m2)
+    z = largest_bisimulation(m1, m2)
     named = sorted([names1[a], names2[b]] for a, b in z.pairs)
     doc = {"pairs": named}
     if args.pairs:

@@ -45,7 +45,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import kripke
-from .calculus import conjlist
 from .kripke import Frame, Model
 from .limits import SizeGuardError
 from .syntax import (
@@ -54,6 +53,7 @@ from .syntax import (
     Formula,
     Not,
     canonical_order,
+    conjlist,
     parse,
     print_closure,
     print_formula,

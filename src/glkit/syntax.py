@@ -365,6 +365,17 @@ def atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
+def conjlist(fs: Iterable[Formula]) -> Formula:
+    """Right-nested conjunction: True for [], the element itself for [f]."""
+    fs = list(fs)
+    if not fs:
+        return TRUE
+    acc = fs[-1]
+    for f in reversed(fs[:-1]):
+        acc = And(f, acc)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # The grammar
 

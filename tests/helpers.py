@@ -5,8 +5,10 @@ the brute-force saturation that `decide`'s box-pattern sweep is checked
 against, the deletion algorithm that bisimulation by partition
 refinement is checked against, the recursive substitution that the
 compiled schema programs are checked against, the re-sorted signed
-closure that the merged one is checked against, and random irreflexive
-transitive models, the semantic oracle for theorem verdicts."""
+closure that the merged one is checked against, the two-pass proof
+writer that the single-pass one is checked against, and random
+irreflexive transitive models, the semantic oracle for theorem
+verdicts."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from collections.abc import Mapping
 from hypothesis import strategies as st
 
 from glkit.bisim import BisimRelation, _atom_agree, _zigzag_ok
+from glkit.calculus import AxiomStep, MpStep, Proof
 from glkit.completeness import ClosureContext, World, hintikka_worlds, standard_rel
 from glkit.kripke import Frame, Model, extensions
 from glkit.syntax import (
@@ -35,6 +38,7 @@ from glkit.syntax import (
     atoms,
     canonical_order,
     children,
+    print_formula,
     subformulas,
 )
 
@@ -216,3 +220,40 @@ def reference_signed_closure(closure) -> tuple[Formula, ...]:
     """closure and the negation of each member, sorted afresh in
     canonical order."""
     return canonical_order([*closure, *map(Not, closure)])
+
+
+def reference_proof_to_json(pr: Proof) -> dict:
+    """The proof document as the writer built it before its single-pass
+    walk: each node's missing children listed, then pushed, and each
+    leaf printed."""
+    terms: list = []
+    ids: dict[Formula, int] = {}
+
+    def term(f: Formula) -> int:
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in ids:
+                stack.pop()
+                continue
+            kids = children(g)
+            todo = [c for c in kids if c not in ids]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            ids[g] = len(terms)
+            terms.append(
+                [type(g).__name__, *(ids[c] for c in kids)] if kids else print_formula(g)
+            )
+        return ids[f]
+
+    steps: list[dict] = []
+    for step in pr.steps:
+        if isinstance(step, AxiomStep):
+            steps.append({"axiom": term(step.formula)})
+        elif isinstance(step, MpStep):
+            steps.append({"mp": [step.major, step.minor]})
+        else:
+            steps.append({"nec": step.premise})
+    return {"terms": terms, "steps": steps}

@@ -32,7 +32,7 @@ from glkit.calculus import (
 from glkit.kripke import itf_valid_small
 from glkit.limits import SizeGuardError
 from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, Not, parse, print_formula, subformulas
-from helpers import random_formula, reference_instantiate
+from helpers import random_formula, reference_instantiate, reference_proof_to_json
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 a, bb = Atom("a"), Atom("b")
@@ -325,6 +325,26 @@ class TestProofJson:
 
         legacy = {"steps": [legacy_step(s) for s in pr.steps]}
         assert proof_from_json(json.loads(json.dumps(legacy))) == pr
+
+    @pytest.mark.parametrize("name", sorted(LEMMAS))
+    def test_writer_matches_reference_on_catalogue(self, name):
+        pr = lemma(name, SAMPLE_ARGS[LEMMAS[name].arity])
+        assert json.dumps(proof_to_json(pr)) == json.dumps(reference_proof_to_json(pr))
+
+    def test_writer_matches_reference_at_random_arguments(self):
+        rng = random.Random(11)
+        for name, info in LEMMAS.items():
+            for _ in range(5):
+                n = rng.randrange(4) if info.params is None else len(info.params)
+                args = [random_formula(rng, 3, ("p", "q", "r")) for _ in range(n)]
+                pr = lemma(name, args)
+                assert json.dumps(proof_to_json(pr)) == json.dumps(reference_proof_to_json(pr))
+
+    def test_writer_matches_reference_on_repeated_children(self):
+        # Both children one node, and a formula shared between steps.
+        f = And(Box(p), Box(p))
+        pr = Proof((AxiomStep(Imp(f, Imp(TRUE, f))), AxiomStep(Imp(f, Imp(f, f)))))
+        assert json.dumps(proof_to_json(pr)) == json.dumps(reference_proof_to_json(pr))
 
     def test_terms_shared_children_first(self):
         pr = lemma("box_conj_iff", [p, q])
