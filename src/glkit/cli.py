@@ -9,9 +9,11 @@ before writing it and writes nothing if that fails. With --json a
 single JSON document is written to stdout; diagnostics go to stderr.
 Formula arguments are taken inline, or from a file with @path.
 
-The proof kernel (`calculus`) and `bisim` are imported inside the
-commands that use them, so `decide`, `check-cert`, `parse`,
-`check-model` and `frame-check` load neither.
+Every library module past `syntax` and `limits` is imported inside the
+commands that use it: `parse` loads no other, `check-model` and
+`frame-check` add `kripke`, `decide` and `check-cert` add `completeness`
+(and with it `kripke`), and only the commands that use the proof kernel
+(`calculus`) or `bisim` load those.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import kripke
-from .completeness import (
-    Theorem,
-    certificate_from_json,
-    certificate_to_json,
-    decide,
-    verify_certificate,
-)
 from .limits import SizeGuardError, check_depth
 from .syntax import Formula, ParseError, parse, print_formula
 
@@ -63,17 +57,20 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from . import completeness, kripke
+
     f = _read_formula(args.formula)
-    verdict = decide(f)
-    if isinstance(verdict, Theorem):
+    verdict = completeness.decide(f)
+    if isinstance(verdict, completeness.Theorem):
         _emit(args, "theorem", {"verdict": "theorem"})
         return 0
-    cert = certificate_to_json(verdict)
+    cert = completeness.certificate_to_json(verdict)
     if args.cert:
         text = json.dumps(cert, indent=2) + "\n"
         problem = None
         try:
-            if not verify_certificate(certificate_from_json(json.loads(text))):
+            reloaded = completeness.certificate_from_json(json.loads(text))
+            if not completeness.verify_certificate(reloaded):
                 problem = "the reloaded certificate does not verify"
         except (KeyError, ValueError) as e:
             problem = f"the certificate does not reload: {e}"
@@ -90,6 +87,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
+    from . import kripke
+
     m, names = kripke.model_from_json(_load_json(args.model))
     f = _read_formula(args.formula)
     failing = sorted(m.frame.worlds - kripke.extension(m, f))
@@ -124,6 +123,8 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
+    from .completeness import certificate_from_json, verify_certificate
+
     doc = _load_json(args.cert)
     # The loader prints the target's whole signed closure, so the depth
     # bound applies before it runs.
@@ -160,6 +161,7 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
+    from . import kripke
     from .bisim import largest_bisimulation
 
     m1, names1 = kripke.model_from_json(_load_json(args.model1))
@@ -174,6 +176,8 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_frame_check(args) -> int:
+    from . import kripke
+
     m, _ = kripke.model_from_json(_load_json(args.model))
     rep = kripke.frame_report(m.frame)
     fields = rep._asdict()

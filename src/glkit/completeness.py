@@ -28,7 +28,7 @@ saturated successors under the standard relation, which is transitive,
 with the membership valuation. Generated submodels preserve truth.
 `verify_certificate` re-checks a certificate from first principles
 (frame shape, membership/truth agreement, falsification) by evaluating
-the closure on the certificate's own relation.
+the closure once on the certificate's own relation.
 
 Serialization: a certificate is a model document plus the target, the
 witness and each world's members as text. `certificate_to_json` prints
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import kripke
@@ -223,9 +224,10 @@ class _Engine:
             if (truth[i] >> b & 1) == positive
         )
 
-    def world(self, b: int) -> World:
+    def world(self, positions: tuple[int, ...]) -> World:
+        """The world whose members sit at these signed-closure positions."""
         signed = self.signed
-        return World(tuple(signed[j][0] for j in self.positions(b)))
+        return World(tuple(signed[j][0] for j in positions))
 
 
 @lru_cache(maxsize=16)
@@ -236,7 +238,7 @@ def _engine(ctx: ClosureContext) -> _Engine:
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
     """Every world over the signed closure, in canonical order."""
     eng = _engine(ctx)
-    return tuple(map(eng.world, sorted(range(1 << len(ctx.decisions)), key=eng.positions)))
+    return tuple(map(eng.world, sorted(map(eng.positions, range(1 << len(ctx.decisions))))))
 
 
 def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
@@ -255,7 +257,7 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
     witness that is itself saturated."""
     eng = _engine(ctx)
     b = sum(1 << i for i, d in enumerate(ctx.decisions) if d in w)
-    if eng.world(b) != w:
+    if eng.world(eng.positions(b)) != w:
         raise ValueError("not a world of this context")
     return bool(eng.saturated >> b & 1)
 
@@ -270,7 +272,8 @@ class StandardModel:
     `context` is closure_context(target): `decide` and
     `certificate_from_json` pass in the one they computed, and it is
     computed here when left out. Immutable; equality, hash and repr
-    leave `context` out, since the target determines it."""
+    leave `context` out, since the target determines it, and the model
+    that `to_model` builds once and keeps."""
 
     def __init__(
         self,
@@ -287,6 +290,7 @@ class StandardModel:
         _set(self, "worlds", worlds)
         _set(self, "rel", rel)
         _set(self, "context", context)
+        _set(self, "_model", None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -305,17 +309,24 @@ class StandardModel:
     __delattr__ = __setattr__
 
     def to_model(self) -> Model:
-        names = sorted(
-            {g.name for g in self.context.closure if isinstance(g, Atom)}
-        )
-        val = {
-            a: frozenset(
-                i for i, w in enumerate(self.worlds) if Atom(a) in w
+        """The Kripke model: world i is worlds[i], and an atom holds where
+        it is a member. Built on the first call and kept, so its
+        valuation is a read-only mapping."""
+        m = self._model
+        if m is None:
+            names = sorted(
+                {g.name for g in self.context.closure if isinstance(g, Atom)}
             )
-            for a in names
-        }
-        frame = Frame(frozenset(range(len(self.worlds))), frozenset(self.rel))
-        return Model(frame, val)
+            val = {
+                a: frozenset(
+                    i for i, w in enumerate(self.worlds) if Atom(a) in w
+                )
+                for a in names
+            }
+            frame = Frame(frozenset(range(len(self.worlds))), frozenset(self.rel))
+            m = Model(frame, MappingProxyType(val))
+            _set(self, "_model", m)
+        return m
 
 
 class Theorem(NamedTuple):
@@ -348,8 +359,9 @@ def decide(f: Formula) -> Verdict:
         return Theorem(f)
     w = eng.first(refuting)
     emitted = eng.successors(w) | 1 << w
-    worlds = {b: eng.world(b) for b in _bits(emitted)}
-    order = sorted(worlds, key=eng.positions)
+    positions = {b: eng.positions(b) for b in _bits(emitted)}
+    order = sorted(positions, key=positions.__getitem__)
+    worlds = {b: eng.world(positions[b]) for b in order}
     index = {b: i for i, b in enumerate(order)}
     rel = tuple(
         sorted(
@@ -363,10 +375,15 @@ def decide(f: Formula) -> Verdict:
 
 
 def verify_certificate(v: Countermodel) -> bool:
-    """Re-check a countermodel from first principles: the frame is ITF,
-    every world's members are exactly the signed-closure formulas true
-    at it, in canonical order, and the witness is one of the worlds and
-    falsifies the target (so it contains Not target)."""
+    """Re-check a countermodel from first principles, in this order: the
+    frame is ITF; every world's members are exactly the signed-closure
+    formulas true at it, in canonical order; and the witness is one of
+    the worlds and falsifies the target (so it contains Not target).
+
+    The closure is evaluated once on the certificate's own model:
+    `kripke._model_masks` gives each closure formula's truth as a mask
+    whose bit i is world i, and every member test reads a bit of those
+    masks."""
     if not isinstance(v, Countermodel):
         raise TypeError("only countermodel verdicts carry a certificate")
     sm = v.model
@@ -374,23 +391,23 @@ def verify_certificate(v: Countermodel) -> bool:
     m = sm.to_model()
     if not kripke.is_itf(m.frame):
         return False
-    # World i of the model is sm.worlds[i]; extensions follow ctx.closure.
+    # World i of the model is sm.worlds[i]; the masks follow ctx.closure.
     # A signed member outside the closure negates a closure formula, so it
-    # holds where that formula's extension does not.
-    truth = kripke.extensions(m, ctx.target)
+    # holds where that formula's mask has a 0.
+    truth = kripke._model_masks(m, ctx.target)
     pos = {q: j for j, q in enumerate(ctx.closure)}
     signed = [
         (s, truth[pos[s]], True) if s in pos else (s, truth[pos[s.arg]], False)
         for s in ctx.signed_closure
     ]
     for i, w in enumerate(sm.worlds):
-        if w.members != tuple(s for s, ext, positive in signed if (i in ext) == positive):
+        if w.members != tuple(s for s, x, positive in signed if (x >> i & 1) == positive):
             return False
     try:
         widx = sm.worlds.index(v.witness)
     except ValueError:
         return False
-    return widx not in truth[-1]
+    return not truth[-1] >> widx & 1
 
 
 def consistent(fs: Sequence[Formula]) -> bool:

@@ -9,6 +9,15 @@ replaced by acyclicity, which is equivalent on finite carriers.
 One bottom-up evaluator serves models and frames alike: it computes the
 truth set of every subformula as a bit mask, and sweeps a frame's
 valuations 2**12 at a time.
+
+The ITF oracle `itf_valid_small(f, n)` sweeps the rooted ITF frames of at
+most n worlds, one of each shape, rather than every labelled ITF frame. A
+formula is valid on a frame iff it is valid on each of the frame's
+point-generated subframes (Blackburn, de Rijke & Venema, *Modal Logic*,
+2001, Thm 3.14), each such subframe of an ITF frame is a rooted ITF frame
+with no more worlds, and validity is invariant under isomorphism. So the
+4 rooted shapes of at most 3 worlds (9 of at most 4) decide what the 23
+labelled ITF frames of at most 3 worlds (242 of at most 4) decide.
 """
 
 from __future__ import annotations
@@ -350,19 +359,6 @@ def frame_report(fr: Frame) -> FrameReport:
     )
 
 
-def _frames(n: int, loops: bool) -> Iterator[Frame]:
-    """Frames on worlds {0..k-1} for k = 1..n, with every relation, or
-    with every irreflexive one when loops is false. Order: k ascending,
-    then the relation read as a bit mask over the pairs (i, j) it may
-    hold, ordered by i*k + j."""
-    for k in range(1, n + 1):
-        worlds = frozenset(range(k))
-        pairs = [(i, j) for i in range(k) for j in range(k) if loops or i != j]
-        for mask in range(1 << len(pairs)):
-            rel = frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
-            yield Frame(worlds, rel)
-
-
 def enumerate_frames(n: int) -> Iterator[Frame]:
     """All frames on worlds {0..k-1} for k = 1..n, every relation included.
 
@@ -371,27 +367,46 @@ def enumerate_frames(n: int) -> Iterator[Frame]:
     """
     if not 1 <= n <= 4:
         raise SizeGuardError(f"frame enumeration supports 1 <= n <= 4, got {n}")
-    yield from _frames(n, True)
+    for k in range(1, n + 1):
+        worlds = frozenset(range(k))
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+        for mask in range(1 << len(pairs)):
+            yield Frame(worlds, frozenset(p for b, p in enumerate(pairs) if mask >> b & 1))
 
 
-@lru_cache(maxsize=4)
-def _itf_frames(n: int) -> tuple[Frame, ...]:
-    # An ITF relation is irreflexive, so only loop-free relations are
-    # built (69 rather than 530 at n = 3). Dropping the diagonal bits
-    # keeps the mask order, so the frames come in enumerate_frames' order.
-    return tuple(fr for fr in _frames(n, False) if is_itf(fr))
+# Every rooted ITF frame of at most 4 worlds up to isomorphism, root 0,
+# listed by size: a 4-world frame is the root below the strict partial
+# order on {1, 2, 3} that its edge list names after the root's edges.
+_ROOT_EDGES = ((0, 1), (0, 2), (0, 3))
+_ROOTED_ITF = tuple(
+    Frame(frozenset(range(k)), frozenset(edges))
+    for k, edges in (
+        (1, ()),  # the point
+        (2, ((0, 1),)),  # the 2-chain
+        (3, ((0, 1), (0, 2))),  # the fork
+        (3, ((0, 1), (0, 2), (1, 2))),  # the 3-chain
+        (4, _ROOT_EDGES),  # antichain
+        (4, (*_ROOT_EDGES, (1, 2))),  # one edge
+        (4, (*_ROOT_EDGES, (1, 2), (1, 3))),  # V
+        (4, (*_ROOT_EDGES, (1, 3), (2, 3))),  # Lambda
+        (4, (*_ROOT_EDGES, (1, 2), (1, 3), (2, 3))),  # chain
+    )
+)
+# _ROOTED_ITF[:_ROOTED_UP_TO[n]] are the frames of at most n worlds.
+_ROOTED_UP_TO = tuple(sum(len(fr.worlds) <= n for fr in _ROOTED_ITF) for n in range(5))
 
 
 def itf_valid_small(f: Formula, n: int) -> bool:
-    """Validity over every ITF frame with at most n worlds (n <= 3).
+    """Validity over every ITF frame with at most n worlds (n <= 4).
 
     A necessary condition for theoremhood by soundness; exhaustive, so
-    usable as an independent oracle.
+    usable as an independent oracle. It sweeps one rooted frame of each
+    shape, smallest first (see the module docstring).
     """
-    if not 1 <= n <= 3:
-        raise SizeGuardError(f"ITF validity oracle supports 1 <= n <= 3, got {n}")
+    if not 1 <= n <= 4:
+        raise SizeGuardError(f"ITF validity oracle supports 1 <= n <= 4, got {n}")
     steps, names = _compile(f)
-    return all(_valid(fr, steps, names) for fr in _itf_frames(n))
+    return all(_valid(fr, steps, names) for fr in _ROOTED_ITF[: _ROOTED_UP_TO[n]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,31 @@ against, the deletion algorithm that bisimulation by partition
 refinement is checked against, the recursive substitution that the
 compiled schema programs are checked against, the re-sorted signed
 closure that the merged one is checked against, the two-pass proof
-writer that the single-pass one is checked against, and random
+writer that the single-pass one is checked against, random
 irreflexive transitive models, the semantic oracle for theorem
-verdicts."""
+verdicts, the sweep over every labelled ITF frame that the rooted-frame
+oracle is checked against, and the `extensions`-based certificate
+check that the mask-based one is checked against."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from collections.abc import Mapping
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from glkit.bisim import BisimRelation, _atom_agree, _zigzag_ok
 from glkit.calculus import AxiomStep, MpStep, Proof
-from glkit.completeness import ClosureContext, World, hintikka_worlds, standard_rel
-from glkit.kripke import Frame, Model, extensions
+from glkit.completeness import (
+    ClosureContext,
+    Countermodel,
+    World,
+    hintikka_worlds,
+    standard_rel,
+)
+from glkit.kripke import Frame, Model, enumerate_frames, extensions, is_itf, valid_on_frame
 from glkit.syntax import (
     FALSE,
     TRUE,
@@ -257,3 +266,43 @@ def reference_proof_to_json(pr: Proof) -> dict:
         else:
             steps.append({"nec": step.premise})
     return {"terms": terms, "steps": steps}
+
+
+@lru_cache(maxsize=4)
+def reference_itf_frames(n: int) -> tuple[Frame, ...]:
+    """Every labelled ITF frame of at most n worlds, in enumerate_frames'
+    order: 1, 4, 23 and 242 frames for n = 1 to 4."""
+    return tuple(fr for fr in enumerate_frames(n) if is_itf(fr))
+
+
+def reference_itf_valid_small(f: Formula, n: int) -> bool:
+    """Validity over every labelled ITF frame of at most n worlds, frame by
+    frame in enumerate_frames' order: the oracle's definition before it
+    swept one rooted frame of each shape. A frame with more than 24
+    atom-at-world cells raises the sweep's SizeGuardError."""
+    return all(valid_on_frame(fr, f) for fr in reference_itf_frames(n))
+
+
+def reference_verify_certificate(v: Countermodel) -> bool:
+    """The certificate check read off `kripke.extensions`: each closure
+    formula's truth set as a frozenset of worlds, a membership test per
+    world and signed-closure formula."""
+    sm = v.model
+    ctx = sm.context
+    m = sm.to_model()
+    if not is_itf(m.frame):
+        return False
+    truth = extensions(m, ctx.target)
+    pos = {q: j for j, q in enumerate(ctx.closure)}
+    signed = [
+        (s, truth[pos[s]], True) if s in pos else (s, truth[pos[s.arg]], False)
+        for s in ctx.signed_closure
+    ]
+    for i, w in enumerate(sm.worlds):
+        if w.members != tuple(s for s, ext, positive in signed if (i in ext) == positive):
+            return False
+    try:
+        widx = sm.worlds.index(v.witness)
+    except ValueError:
+        return False
+    return widx not in truth[-1]

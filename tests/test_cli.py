@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from glkit import cli
+from glkit import completeness, kripke
 from glkit.cli import main
 from glkit.completeness import certificate_from_json, verify_certificate
 from glkit.limits import MAX_DEPTH
@@ -62,7 +62,7 @@ class TestDecideCommand:
         assert "nested too deeply" in capsys.readouterr().err
 
     def test_failed_recheck_writes_nothing_exit_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_certificate", lambda v: False)
+        monkeypatch.setattr(completeness, "verify_certificate", lambda v: False)
         cert = tmp_path / "out.json"
         assert main(["decide", "Box p --> p", "--cert", str(cert)]) == 4
         assert not cert.exists()
@@ -371,7 +371,7 @@ def test_uncaught_exception_is_internal_error_exit_4(tmp_path, capsys, monkeypat
     def broken(doc):
         raise TypeError("loader bug\non two lines")
 
-    monkeypatch.setattr(cli.kripke, "model_from_json", broken)
+    monkeypatch.setattr(kripke, "model_from_json", broken)
     path = write_model(tmp_path, {"worlds": ["w"]})
     assert main(["check-model", path, "p"]) == 4
     captured = capsys.readouterr()

@@ -31,6 +31,7 @@ from glkit.syntax import (
     Imp,
     Not,
     canonical_key,
+    canonical_order,
     parse,
     print_formula,
 )
@@ -39,9 +40,11 @@ from helpers import (
     formulas,
     holds_on_models,
     random_formula,
+    random_guarded_formula,
     random_itf_model,
     reference_saturated,
     reference_signed_closure,
+    reference_verify_certificate,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -364,6 +367,88 @@ class TestVerifyCertificate:
         with pytest.raises(TypeError):
             verify_certificate(Theorem(p))  # type: ignore[arg-type]
 
+    def test_model_built_once_with_a_read_only_valuation(self):
+        sm = decide(parse("Box p --> p")).model
+        m = sm.to_model()
+        assert sm.to_model() is m
+        assert dict(m.val) == {"p": frozenset(i for i, w in enumerate(sm.worlds) if p in w)}
+        with pytest.raises(TypeError):
+            m.val["p"] = frozenset()
+        with pytest.raises(TypeError):
+            del m.val["p"]
+
+
+def stream_corpus() -> list:
+    """The benchmark's `stream` corpus before its per-seed renaming: 200
+    formulas of depth at most 5 over p, q, r with at most 4 distinct
+    boxes, drawn from seed 7."""
+    rng = random.Random(7)
+    return [random_guarded_formula(rng, 5, ("p", "q", "r"), 4) for _ in range(200)]
+
+
+def certificate_mutants(v: Countermodel, rng: random.Random):
+    """(kind, certificate) pairs, each v with one thing changed."""
+    sm, ctx = v.model, v.model.context
+    wi = sm.worlds.index(v.witness)
+
+    def swap(i, w):
+        worlds = sm.worlds[:i] + (w,) + sm.worlds[i + 1:]
+        witness = w if i == wi else v.witness
+        return Countermodel(StandardModel(sm.target, worlds, sm.rel, ctx), witness)
+
+    def with_rel(rel):
+        sm2 = StandardModel(sm.target, sm.worlds, tuple(sorted(rel)), ctx)
+        return Countermodel(sm2, v.witness)
+
+    i = rng.randrange(len(sm.worlds))
+    members = sm.worlds[i].members
+    j = rng.randrange(len(members))
+    yield "member dropped", swap(i, World(members[:j] + members[j + 1:]))
+    extra = rng.choice([s for s in ctx.signed_closure if s not in sm.worlds[i]])
+    yield "member added", swap(i, World(tuple(canonical_order([*members, extra]))))
+    yield "member appended", swap(i, World(members + (extra,)))
+    for w in sm.worlds:
+        if w != v.witness:
+            yield "witness moved", Countermodel(sm, w)
+    rel = set(sm.rel)
+    for x, z in sm.rel:
+        if any((x, y) in rel and (y, z) in rel for y in range(len(sm.worlds))):
+            yield "transitive edge dropped", with_rel(rel - {(x, z)})
+    yield "loop added", with_rel(rel | {(i, i)})
+
+
+class TestVerifyAgainstReference:
+    """The mask-based `verify_certificate` against the frozenset-based
+    reference on the `stream` corpus's certificates and their mutants."""
+
+    @pytest.fixture(scope="class")
+    def certificates(self):
+        verdicts = [decide(f) for f in stream_corpus()]
+        return [v for v in verdicts if isinstance(v, Countermodel)]
+
+    def test_corpus(self, certificates):
+        assert len(certificates) > 100
+        for v in certificates:
+            assert verify_certificate(v) is reference_verify_certificate(v) is True
+            reloaded = certificate_from_json(certificate_to_json(v))
+            assert verify_certificate(reloaded) is reference_verify_certificate(reloaded) is True
+
+    def test_mutants(self, certificates):
+        rng = random.Random(12)
+        seen: dict[tuple[str, bool], int] = {}
+        for v in certificates:
+            for kind, bad in certificate_mutants(v, rng):
+                got = verify_certificate(bad)
+                assert got is reference_verify_certificate(bad), (kind, bad)
+                seen[kind, got] = seen.get((kind, got), 0) + 1
+        for kind in ("member dropped", "member added", "member appended", "loop added"):
+            assert seen.get((kind, False), 0) >= 100 and (kind, True) not in seen, kind
+        assert seen.get(("transitive edge dropped", False), 0) >= 20
+        assert ("transitive edge dropped", True) not in seen
+        # A moved witness is still accepted where the new world also
+        # refutes the target.
+        assert seen.get(("witness moved", False), 0) >= 100
+
 
 class TestTheoremOracle:
     """Theorem verdicts against random irreflexive transitive models of up
@@ -393,6 +478,7 @@ class TestTheoremOracle:
         # of 4: the oracle refutes it and decide does too.
         f = parse("Box Box Box False")
         assert itf_valid_small(f, 3)
+        assert not itf_valid_small(f, 4)
         assert not holds_on_models(f, models)
         v = decide(f)
         assert isinstance(v, Countermodel) and verify_certificate(v)

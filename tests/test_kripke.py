@@ -1,3 +1,7 @@
+import functools
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +9,8 @@ from hypothesis import strategies as st
 from glkit.kripke import (
     LOB_INSTANCE,
     Frame,
-    _itf_frames,
     Model,
+    _ROOTED_ITF,
     acyclic,
     enumerate_frames,
     extension,
@@ -28,8 +32,11 @@ from glkit.limits import SizeGuardError
 from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, Not, Or, parse, subformulas
 from helpers import (
     formulas,
+    random_formula,
     random_model,
     reference_holds,
+    reference_itf_frames,
+    reference_itf_valid_small,
     reference_valid_on_frame,
 )
 
@@ -196,12 +203,97 @@ class TestEnumeration:
         with pytest.raises(SizeGuardError):
             list(enumerate_frames(0))
 
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 23), (4, 242)])
+    def test_labelled_itf_frames(self, n, count):
+        assert len(reference_itf_frames(n)) == count
 
-    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 23)])
-    def test_itf_table_is_the_filtered_enumeration(self, n, count):
-        want = tuple(fr for fr in enumerate_frames(n) if is_itf(fr))
-        assert len(want) == count
-        assert _itf_frames(n) == want
+
+def _isomorphic(a: Frame, b: Frame) -> bool:
+    if len(a.worlds) != len(b.worlds) or len(a.rel) != len(b.rel):
+        return False
+    wa = sorted(a.worlds)
+    return any(
+        frozenset((m[x], m[y]) for x, y in a.rel) == b.rel
+        for m in (dict(zip(wa, perm)) for perm in permutations(sorted(b.worlds)))
+    )
+
+
+def _generated(fr: Frame, w: int) -> Frame:
+    """The subframe generated by w: w and its successors, which are all
+    the worlds w reaches since the relation is transitive."""
+    keep = {w} | {y for x, y in fr.rel if x == w}
+    return Frame(frozenset(keep), frozenset(e for e in fr.rel if set(e) <= keep))
+
+
+def _outcome(oracle, f, n):
+    """The verdict, or the text of the size guard it raises."""
+    try:
+        return oracle(f, n)
+    except SizeGuardError as e:
+        return str(e)
+
+
+class TestRootedTable:
+    """`itf_valid_small` sweeps one rooted ITF frame of each shape. That
+    decides validity on every ITF frame of at most n worlds because each
+    point-generated subframe of such a frame is one of the listed shapes."""
+
+    def test_each_frame_is_rooted_itf(self):
+        for fr in _ROOTED_ITF:
+            assert is_itf(fr)
+            assert _generated(fr, 0) == fr
+
+    def test_no_two_frames_are_isomorphic(self):
+        for i, a in enumerate(_ROOTED_ITF):
+            for b in _ROOTED_ITF[i + 1:]:
+                assert not _isomorphic(a, b), (a, b)
+
+    def test_listed_by_size(self):
+        sizes = [len(fr.worlds) for fr in _ROOTED_ITF]
+        assert sizes == [1, 2, 3, 3, 4, 4, 4, 4, 4]
+
+    def test_every_generated_subframe_is_listed(self):
+        for fr in reference_itf_frames(4):
+            for w in fr.worlds:
+                sub = _generated(fr, w)
+                assert any(_isomorphic(sub, t) for t in _ROOTED_ITF), sub
+
+    def test_agrees_with_every_labelled_frame(self):
+        # Random formulas over 1 to 3 atoms, a third of them behind a
+        # conjunction of the first 6, 9 or 10 atoms; half made valid by
+        # `g || Not g`, so that the sweep reaches the larger frames and,
+        # with 9 or more atoms, the size guard at 3 worlds. (A valid
+        # formula of 6 to 8 atoms sweeps up to 2**24 valuations on each of
+        # the 219 labelled 4-world frames, so n = 4 takes only 9 or 10.)
+        rng = random.Random(12)
+        names = [f"a{i}" for i in range(10)]
+        calls = {1: 0, 2: 0, 3: 0, 4: 0}
+        guarded = 0
+        while min(calls[1], calls[2], calls[3]) < 170 or calls[4] < 60:
+            n = rng.choice([1, 2, 3, 3, 4])
+            if n == 4 and calls[4] >= 60:
+                continue
+            g = random_formula(rng, rng.randint(1, 5), names[: rng.randint(1, 3)])
+            if rng.random() < 0.3:
+                k = rng.choice((9, 10) if n == 4 else (6, 9, 10))
+                wide = [Atom(a) for a in names[:k]]
+                g = Imp(functools.reduce(And, wide), g)
+            f = Or(g, Not(g)) if rng.random() < 0.5 else g
+            want = _outcome(reference_itf_valid_small, f, n)
+            assert _outcome(itf_valid_small, f, n) == want, (n, f)
+            calls[n] += 1
+            guarded += isinstance(want, str)
+        assert guarded >= 20
+
+    def test_the_fork_decides_connectedness(self):
+        # Valid on every chain, refuted on the fork 0 -> 1, 0 -> 2.
+        f = parse("Box (p && Box p --> q) || Box (q && Box q --> p)")
+        fork, chain = _ROOTED_ITF[2], _ROOTED_ITF[3]
+        assert valid_on_frame(chain, f) and not valid_on_frame(fork, f)
+        assert itf_valid_small(f, 2) is True
+        for n in (3, 4):
+            assert itf_valid_small(f, n) is False
+            assert reference_itf_valid_small(f, n) is False
 
 
 class TestItfValidSmall:
@@ -214,9 +306,23 @@ class TestItfValidSmall:
     def test_lob(self):
         assert itf_valid_small(LOB_INSTANCE, 3) is True
 
+    def test_four_worlds(self):
+        assert itf_valid_small(LOB_INSTANCE, 4) is True
+        assert itf_valid_small(parse("Box Box Box False"), 4) is False
+
     def test_guard(self):
         with pytest.raises(SizeGuardError):
-            itf_valid_small(TRUE, 4)
+            itf_valid_small(TRUE, 5)
+        with pytest.raises(SizeGuardError):
+            itf_valid_small(TRUE, 0)
+
+    def test_cell_guard(self):
+        # 7 atoms x 4 worlds = 28 cells: past the 24-cell sweep limit.
+        f = parse(" && ".join(f"a{i}" for i in range(7)))
+        g = Or(f, Not(f))
+        assert itf_valid_small(g, 3) is True
+        with pytest.raises(SizeGuardError, match="7 atoms x 4 worlds"):
+            itf_valid_small(g, 4)
 
 
 def _converse_well_founded(fr: Frame) -> bool:

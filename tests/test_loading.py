@@ -1,7 +1,8 @@
 """What each entry point loads, each checked in a fresh interpreter:
 `import glkit` loads no submodule, the package resolves its public names
-on first access, and only the commands that use the proof kernel or
-bisimulation load `calculus` or `bisim`."""
+on first access, `parse` loads only `syntax` and `limits` besides `cli`,
+and only the commands that use the proof kernel or bisimulation load
+`calculus` or `bisim`."""
 
 import json
 import subprocess
@@ -64,6 +65,22 @@ def test_decide_side_commands_load_neither_kernel_nor_bisim(command, files):
     }[command]
     loaded = loaded_after(argv)
     assert "glkit.cli" in loaded and not loaded & KERNEL, loaded
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["parse", "p && q"], set()),
+        (["check-model", "MODEL", "Box p"], {"glkit.kripke"}),
+        (["frame-check", "MODEL"], {"glkit.kripke"}),
+        (["decide", "Box p --> p"], {"glkit.kripke", "glkit.completeness"}),
+    ],
+    ids=["parse", "check-model", "frame-check", "decide"],
+)
+def test_each_command_loads_only_what_it_uses(argv, modules, files):
+    argv = [files["model"] if a == "MODEL" else a for a in argv]
+    base = {"glkit", "glkit.cli", "glkit.syntax", "glkit.limits"}
+    assert loaded_after(argv) == base | modules
 
 
 def test_decide_then_check_cert_load_neither(files):
