@@ -30,35 +30,47 @@ with the membership valuation. Generated submodels preserve truth.
 (frame shape, membership/truth agreement, falsification) by evaluating
 the closure once on the certificate's own relation.
 
+Records: each target's analysis is one record, kept in the module's
+one cache, an `lru_cache` of the 16 most recently used targets keyed by
+the interned formula. A record holds the closure context, each signed
+member's (closure index, polarity) from the merge that orders the
+signed closure, and, built on first use, the engine (truth table and
+saturated set) and the printed texts of the signed closure with their
+inverse. `closure_context`, `decide`, `hintikka_worlds`, `saturate` and
+both serializers read the target's record, so a target decided, printed
+and reloaded in one process is analysed once.
+
 Serialization: a certificate is a model document plus the target, the
-witness and each world's members as text. `certificate_to_json` prints
-the signed closure once, children first (`syntax.print_closure`), and
-looks each member's text up among those texts; `certificate_from_json`
-looks member strings up in the same table and parses only those it
-misses.
+witness and each world's members as text. `certificate_to_json` looks
+each member's text up among the record's printed texts (the signed
+closure printed once, children first, by `syntax.print_closure`);
+`certificate_from_json` parses the target, finds or builds its record,
+looks member strings up in the inverse table and parses only those it
+misses. In a fresh process it builds the context and the texts but no
+engine, and `verify_certificate` reads nothing from the engine.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import kripke
-from .kripke import Frame, Model
+from .kripke import Frame, Model, _cached_field
 from .limits import SizeGuardError
 from .syntax import (
     Atom,
     Box,
     Formula,
     Not,
+    _signed,
     canonical_order,
     conjlist,
     parse,
     print_closure,
     print_formula,
-    signed_subformulas,
     subformulas,
 )
 
@@ -82,10 +94,11 @@ class ClosureContext(NamedTuple):
 
 
 def closure_context(target: Formula) -> ClosureContext:
-    closure = subformulas(target)
-    signed = signed_subformulas(target)
-    decisions = tuple(q for q in closure if isinstance(q, (Atom, Box)))
-    return ClosureContext(target, closure, signed, decisions)
+    """The subformula closure of target, its signed extension and its
+    decision formulas. This is the context kept in target's record, so a
+    target decided, printed and reloaded in one process has its closure
+    worked out once while it stays among the 16 most recent targets."""
+    return _record(target).context
 
 
 class World:
@@ -111,7 +124,7 @@ class World:
 
     __delattr__ = __setattr__
 
-    @cached_property
+    @_cached_field
     def member_set(self) -> frozenset[Formula]:
         return frozenset(self.members)
 
@@ -132,10 +145,12 @@ class _Engine:
 
     A world is its decision assignment b: bit b of `truth[i]` is the
     truth of ctx.closure[i] under b, and bit b of `saturated` says
-    whether that world is saturated.
+    whether that world is saturated. `pairs[j]` is the closure index and
+    polarity of ctx.signed_closure[j], so that member is in world b iff
+    bit b of its closure formula's truth equals its polarity.
     """
 
-    def __init__(self, ctx: ClosureContext):
+    def __init__(self, ctx: ClosureContext, pairs: tuple[tuple[int, bool], ...]):
         k = len(ctx.decisions)
         if k > MAX_DECISION_BITS:
             raise SizeGuardError(
@@ -153,22 +168,20 @@ class _Engine:
         self.truth = truth = kripke._run(
             steps, [atom_cell[a] for a in names], full, lambda _: next(box_cells)
         )
-        pos = {q: i for i, q in enumerate(ctx.closure)}
-        # (member, closure index, polarity) for the signed closure in
-        # canonical order: s is in world b iff bit b of truth[i] == polarity.
-        self.signed = tuple(
-            (s, pos[s], True) if s in pos else (s, pos[s.arg], False)
-            for s in ctx.signed_closure
-        )
+        self.members = ctx.signed_closure
+        self.pairs = pairs
         # Per box: its decision dimension, then the worlds holding Box q,
         # those holding Box q and q (where a box of the current world
         # carries on), and those holding Box q and Not q (where an
-        # obligation Not (Box q) is met).
+        # obligation Not (Box q) is met). The steps follow ctx.closure, and
+        # a Box step's first operand is the closure index of its body.
         self.boxes = []
-        for i, d in enumerate(ctx.decisions):
-            if isinstance(d, Box):
-                has, arg = truth[pos[d]], truth[pos[d.arg]]
-                self.boxes.append((i, has, has & arg, has & ~arg))
+        dim = 0
+        for i, q in enumerate(ctx.closure):
+            if isinstance(q, Box):
+                has, arg = truth[i], truth[steps[i][1]]
+                self.boxes.append((dim, has, has & arg, has & ~arg))
+            dim += isinstance(q, (Atom, Box))
         self.saturated = self._saturate()
 
     def _saturate(self) -> int:
@@ -204,11 +217,11 @@ class _Engine:
 
         Two worlds compare as their sorted member lists do, so the first
         formula in canonical order that one holds and the other lacks
-        decides: the world holding it comes first. The walk therefore goes through the signed closure in
-        canonical order and keeps the candidates holding each formula
-        whenever some do."""
+        decides: the world holding it comes first. The walk therefore
+        goes through the signed closure in canonical order and keeps the
+        candidates holding each formula whenever some do."""
         full, truth = self.full, self.truth
-        for _, i, positive in self.signed:
+        for i, positive in self.pairs:
             narrowed = candidates & (truth[i] if positive else full ^ truth[i])
             if narrowed:
                 candidates = narrowed
@@ -220,19 +233,61 @@ class _Engine:
         canonical order."""
         truth = self.truth
         return tuple(
-            j for j, (_, i, positive) in enumerate(self.signed)
+            j for j, (i, positive) in enumerate(self.pairs)
             if (truth[i] >> b & 1) == positive
         )
 
     def world(self, positions: tuple[int, ...]) -> World:
         """The world whose members sit at these signed-closure positions."""
-        signed = self.signed
-        return World(tuple(signed[j][0] for j in positions))
+        members = self.members
+        return World(tuple(members[j] for j in positions))
+
+
+class _Record:
+    """Everything kept for one target: its closure context, each signed
+    member's (closure index, polarity) from the merge that orders the
+    signed closure, and, each built on first use, the engine and the
+    printed texts of the signed closure with their inverse."""
+
+    __slots__ = ("context", "pairs", "_engine", "_texts")
+
+    def __init__(self, target: Formula):
+        closure = subformulas(target)
+        signed, self.pairs = _signed(target)
+        decisions = tuple(q for q in closure if isinstance(q, (Atom, Box)))
+        self.context = ClosureContext(target, closure, signed, decisions)
+        self._engine = None
+        self._texts = None
+
+    def engine(self) -> _Engine:
+        eng = self._engine
+        if eng is None:
+            eng = self._engine = _Engine(self.context, self.pairs)
+        return eng
+
+    def texts(self) -> tuple[dict[Formula, str], dict[str, Formula]]:
+        """Each signed-closure member's `print_formula` text, and the
+        member of each text."""
+        texts = self._texts
+        if texts is None:
+            text = print_closure(self.context.signed_closure)
+            texts = self._texts = (text, {t: g for g, t in text.items()})
+        return texts
 
 
 @lru_cache(maxsize=16)
+def _record(target: Formula) -> _Record:
+    """The record of target, from the module's one cache. Formulas are
+    interned, so the key hashes in constant time."""
+    return _Record(target)
+
+
 def _engine(ctx: ClosureContext) -> _Engine:
-    return _Engine(ctx)
+    """The engine of ctx, which must be its target's closure context."""
+    rec = _record(ctx.target)
+    if ctx != rec.context:
+        raise ValueError("not the closure context of its target")
+    return rec.engine()
 
 
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
@@ -270,8 +325,8 @@ class StandardModel:
     """Countermodel carrier: saturated worlds, the standard relation as
     index pairs into `worlds`, membership valuation left implicit.
     `context` is closure_context(target): `decide` and
-    `certificate_from_json` pass in the one they computed, and it is
-    computed here when left out. Immutable; equality, hash and repr
+    `certificate_from_json` pass in the target's record's, and it is
+    looked up here when left out. Immutable; equality, hash and repr
     leave `context` out, since the target determines it, and the model
     that `to_model` builds once and keeps."""
 
@@ -314,15 +369,14 @@ class StandardModel:
         valuation is a read-only mapping."""
         m = self._model
         if m is None:
-            names = sorted(
-                {g.name for g in self.context.closure if isinstance(g, Atom)}
-            )
-            val = {
-                a: frozenset(
-                    i for i, w in enumerate(self.worlds) if Atom(a) in w
-                )
-                for a in names
-            }
+            # One scan over the members; an atom outside the closure is
+            # no atom of the model.
+            cells = {g.name: [] for g in self.context.closure if type(g) is Atom}
+            for i, w in enumerate(self.worlds):
+                for g in w.members:
+                    if type(g) is Atom and g.name in cells:
+                        cells[g.name].append(i)
+            val = {a: frozenset(cells[a]) for a in sorted(cells)}
             frame = Frame(frozenset(range(len(self.worlds))), frozenset(self.rel))
             m = Model(frame, MappingProxyType(val))
             _set(self, "_model", m)
@@ -352,8 +406,8 @@ def decide(f: Formula) -> Verdict:
     certificate is the submodel it generates: the witness and its
     saturated successors, in canonical order, related by the standard
     relation."""
-    ctx = closure_context(f)
-    eng = _engine(ctx)
+    rec = _record(f)
+    eng = rec.engine()
     refuting = eng.saturated & ~eng.truth[-1]
     if not refuting:
         return Theorem(f)
@@ -370,7 +424,7 @@ def decide(f: Formula) -> Verdict:
             for y in _bits(eng.successors(x) & emitted)
         )
     )
-    model = StandardModel(f, tuple(worlds[b] for b in order), rel, ctx)
+    model = StandardModel(f, tuple(worlds[b] for b in order), rel, rec.context)
     return Countermodel(model, worlds[w])
 
 
@@ -452,11 +506,11 @@ def extend_maximal_consistent(
 
 def certificate_to_json(v: Countermodel) -> dict:
     """The certificate as a model document plus `target`, `witness` and
-    `world_contents`. The signed closure is printed once, children
-    first, and each member's text is looked up there; a member from
-    outside it is printed on its own."""
+    `world_contents`. Each member's text is looked up among the printed
+    signed closure of the target's record; a member from outside it is
+    printed on its own."""
     sm = v.model
-    text = print_closure(sm.context.signed_closure)
+    text = _record(sm.target).texts()[0]
     doc = kripke.model_to_json(sm.to_model())
     doc["target"] = text[sm.target]
     doc["witness"] = f"w{sm.worlds.index(v.witness)}"
@@ -488,16 +542,17 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
             "world names to lists of formula strings"
         )
     # Members are looked up by their printed form among the target's
-    # signed closure, printed once, and parsed only when that misses.
+    # signed closure, printed once per record, and parsed only when that
+    # misses.
     f = parse(target)
-    ctx = closure_context(f)
-    printed = {s: g for g, s in print_closure(ctx.signed_closure).items()}
+    rec = _record(f)
+    printed = rec.texts()[1]
     worlds = []
     for nm in names:
         if nm not in contents:
             raise ValueError(f"missing world contents for {nm!r}")
         worlds.append(World(tuple(printed.get(s) or parse(s) for s in contents[nm])))
-    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)), ctx)
+    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)), rec.context)
     derived = sm.to_model().val
     for a in set(m.val) | set(derived):
         if m.val.get(a, frozenset()) != derived.get(a, frozenset()):

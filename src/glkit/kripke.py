@@ -23,7 +23,7 @@ labelled ITF frames of at most 3 worlds (242 of at most 4) decide.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -61,6 +61,25 @@ class _Layout(NamedTuple):
     box_masks: tuple[tuple[int, int], ...]  # (successor mask, own bit), per position
 
 
+class _cached_field:
+    """A value computed from an immutable record on first read and kept
+    on it. It is stored with object.__setattr__, past the record's
+    refusing __setattr__; `functools.cached_property` writes
+    `instance.__dict__` instead, which materialises the instance's dict
+    and makes every later field read of that instance slower."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        _set(obj, self.name, value)
+        return value
+
+
 class Frame:
     """Worlds and the relation over them. Immutable; equal worlds and
     relation make equal frames."""
@@ -85,7 +104,7 @@ class Frame:
 
     __delattr__ = __setattr__
 
-    @cached_property
+    @_cached_field
     def _layout(self) -> _Layout:
         # Pairs naming an undeclared world are not edges of the frame.
         index = {w: i for i, w in enumerate(sorted(self.worlds))}

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
 from typing import Iterable
 
@@ -325,14 +325,18 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
     return (*below, f)
 
 
-def signed_subformulas(f: Formula) -> tuple[Formula, ...]:
-    """The subformulas of f and their negations, in canonical order.
+def _signed(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple[int, bool], ...]]:
+    """The subformulas of f and their negations, in canonical order, and
+    for each member its closure index i and polarity: the member is
+    subformulas(f)[i] when the polarity is True and its negation when it
+    is False.
 
     The closure is already in canonical order, and so are the negations
     taken in closure order, since Not q ranks by q's rank. The result is
     a merge of these two sorted runs on (size, tag, rank of the argument
     for Not, own rank otherwise); a member Not q of the closure meets its
-    twin from the negations there and is kept once."""
+    twin from the negations there and is kept once, as a closure
+    member."""
     closure = subformulas(f)
     rank = {q: i for i, q in enumerate(closure)}
     not_tag = _TAG[Not]
@@ -341,17 +345,29 @@ def signed_subformulas(f: Formula) -> tuple[Formula, ...]:
         for i, g in enumerate(closure)
     ]
     merged: list[Formula] = []
+    pairs: list[tuple[int, bool]] = []
     j, n = 0, len(closure)
     for i, q in enumerate(closure):
         negation = (q.size + 1, not_tag, i)
         while j < n and keys[j] < negation:
             merged.append(closure[j])
+            pairs.append((j, True))
             j += 1
         if j < n and keys[j] == negation:
+            merged.append(closure[j])
+            pairs.append((j, True))
             j += 1
-        merged.append(Not(q))
-    merged += closure[j:]
-    return tuple(merged)
+        else:
+            merged.append(Not(q))
+            pairs.append((i, False))
+    # Not f is larger than every member of the closure, so none is left.
+    return tuple(merged), tuple(pairs)
+
+
+def signed_subformulas(f: Formula) -> tuple[Formula, ...]:
+    """The subformulas of f and their negations, in canonical order; a
+    negation that is itself a subformula is listed once."""
+    return _signed(f)[0]
 
 
 def canonical_order(fs: Iterable[Formula]) -> tuple[Formula, ...]:
@@ -409,18 +425,21 @@ class ParseError(ValueError):
 
 
 # A word or a multi-character connective; else one non-space character,
-# which is a token only if it is a letter.
+# which is a token only if it is a letter. `findall` gives the group, so
+# such a character comes out as ''.
 _TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*|-->|<->|&&|\|\||[()])|\S")
 # The operator stack's mark for an open parenthesis.
 _OPEN = (None, -1, False)
 
 
-def _error(text: str, message: str, offset: int | None) -> ParseError:
-    """A ParseError at the token starting at text[offset], or at the end
-    of the last line when offset is None."""
-    if offset is None:
+def _error(text: str, message: str, index: int | None) -> ParseError:
+    """A ParseError at the index-th token of text, or at the end of the
+    last line when index is None. The token's offset is found by scanning
+    again, which only an error pays for."""
+    if index is None:
         lines = text.splitlines() or [""]
         return ParseError(message, len(lines), len(lines[-1]) + 1)
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start()
     # The token's first character closes the prefix; it is no line break.
     lines = text[: offset + 1].splitlines()
     return ParseError(message, len(lines), len(lines[-1]))
@@ -429,27 +448,24 @@ def _error(text: str, message: str, offset: int | None) -> ParseError:
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raises ParseError with position.
 
-    The whole text is tokenised first, so a lexical error is reported
-    before any syntax error. Parsing then keeps an operand stack and an
-    operator stack, so any nesting depth parses without recursion."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastindex is None and not m.group().isalpha():
-            raise _error(text, f"unexpected character {m.group()!r}", m.start())
-        tokens.append(m)
+    The whole text is tokenised first, in one scan, so a lexical error is
+    reported before any syntax error. Parsing then keeps an operand stack
+    and an operator stack, so any nesting depth parses without recursion."""
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        # Characters outside the grammar: a letter is a token (and an
+        # unexpected one), anything else a lexical error.
+        tokens = []
+        for m in _TOKEN.finditer(text):
+            tok = m.group()
+            if m.lastindex is None and not tok.isalpha():
+                raise _error(text, f"unexpected character {tok!r}", len(tokens))
+            tokens.append(tok)
     operands: list[Formula] = []
     ops: list[tuple] = []
     depth = 0
     expect_operand = True
-
-    def reduce(bound: int) -> None:
-        # Apply the pending infix connectives that bind at level >= bound.
-        while ops and ops[-1][1] >= bound:
-            right = operands.pop()
-            operands[-1] = ops.pop()[0](operands[-1], right)
-
-    for m in tokens:
-        tok = m.group()
+    for k, tok in enumerate(tokens):
         entry = _CONNECTIVES.get(tok)
         if expect_operand:
             if entry is not None and entry[1] == _PREFIX:
@@ -464,22 +480,29 @@ def parse(text: str) -> Formula:
                 try:
                     f = Atom(tok)
                 except ValueError:
-                    raise _error(text, f"unexpected token {tok!r}", m.start()) from None
+                    raise _error(text, f"unexpected token {tok!r}", k) from None
         elif entry is not None and entry[1] < _PREFIX:
-            # An equal level reduces first unless it is right associative.
-            reduce(entry[1] + entry[2])
+            # Apply the pending infix connectives that bind tighter; an
+            # equal level goes first unless it is right associative.
+            bound = entry[1] + entry[2]
+            while ops and ops[-1][1] >= bound:
+                right = operands.pop()
+                operands[-1] = ops.pop()[0](operands[-1], right)
             ops.append(entry)
             expect_operand = True
             continue
         elif tok == ")" and depth:
-            reduce(0)
+            # Only infix connectives lie above the innermost open mark.
+            while ops[-1] is not _OPEN:
+                right = operands.pop()
+                operands[-1] = ops.pop()[0](operands[-1], right)
             ops.pop()
             depth -= 1
             f = operands.pop()
         elif depth:
-            raise _error(text, "expected ')'", m.start())
+            raise _error(text, "expected ')'", k)
         else:
-            raise _error(text, f"unexpected token {tok!r} after formula", m.start())
+            raise _error(text, f"unexpected token {tok!r} after formula", k)
         # f is a complete operand; the prefix connectives before it apply.
         while ops and ops[-1][1] == _PREFIX:
             f = ops.pop()[0](f)
@@ -489,7 +512,9 @@ def parse(text: str) -> Formula:
         raise _error(text, "unexpected end of input", None)
     if depth:
         raise _error(text, "expected ')'", None)
-    reduce(0)
+    while ops:
+        right = operands.pop()
+        operands[-1] = ops.pop()[0](operands[-1], right)
     return operands[0]
 
 

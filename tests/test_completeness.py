@@ -6,6 +6,7 @@ from hypothesis import given
 
 from glkit import completeness, kripke
 from glkit.completeness import (
+    ClosureContext,
     Countermodel,
     StandardModel,
     Theorem,
@@ -165,6 +166,18 @@ class TestSaturate:
         with pytest.raises(ValueError):
             saturate(ctx, World((q,)))
 
+    def test_foreign_context_rejected(self):
+        # The engine belongs to the target's own context; a context that
+        # differs from it names no world of that engine.
+        ctx = closure_context(parse("Box p --> p"))
+        w = world_of(ctx, "p", "Not Box p", "Box p --> p")
+        other = ctx._replace(decisions=ctx.decisions[:1])
+        with pytest.raises(ValueError):
+            saturate(other, w)
+        with pytest.raises(ValueError):
+            hintikka_worlds(other)
+        assert saturate(ClosureContext(*ctx), w) is True
+
 
 def _reference_cases():
     """The targets of acceptance criterion 7, one target whose saturation
@@ -239,17 +252,29 @@ class TestLargeChains:
         assert isinstance(v, Countermodel)
         assert verify_certificate(certificate_from_json(certificate_to_json(v))) is True
 
-    def test_k14_round_trip_computes_two_contexts(self, monkeypatch):
-        # One for decide and one for the load, which works its own out from
-        # the target text; each model then carries the one it was built with.
-        calls = []
-        real = completeness.closure_context
-        monkeypatch.setattr(
-            completeness, "closure_context", lambda f: calls.append(f) or real(f)
-        )
+    def test_k14_round_trip_builds_one_record(self):
+        # decide, the printer and the load all find the target's one
+        # record, so its closure is worked out once.
+        completeness._record.cache_clear()
         v = decide(_chain(14, False))
-        assert verify_certificate(certificate_from_json(certificate_to_json(v))) is True
-        assert len(calls) == 2
+        reloaded = certificate_from_json(certificate_to_json(v))
+        assert completeness._record.cache_info().misses == 1
+        assert reloaded.model.context is v.model.context
+        assert verify_certificate(reloaded) is True
+
+    def test_k14_load_without_the_record_builds_its_own(self):
+        # As in a fresh process: the load works its record out from the
+        # target text and builds no engine.
+        f = _chain(14, False)
+        v = decide(f)
+        doc = certificate_to_json(v)
+        completeness._record.cache_clear()
+        reloaded = certificate_from_json(doc)
+        assert completeness._record.cache_info().misses == 1
+        assert completeness._record(f)._engine is None
+        assert reloaded.model.context is not v.model.context
+        assert reloaded.model.context == v.model.context
+        assert verify_certificate(reloaded) is True
 
     def test_context_of_another_target_rejected(self):
         v = decide(_chain(6, False))
@@ -652,6 +677,19 @@ class TestCertificateJson:
         for members in doc["world_contents"].values():
             members.append("Box Box Box q")
         assert verify_certificate(certificate_from_json(doc)) is False
+
+    def test_valuation_reads_the_closure_atoms_of_any_member_list(self):
+        # Out of order, repeated, and with an atom from outside the
+        # target's closure: the valuation still agrees with the document,
+        # so the load succeeds and verification rejects the lists.
+        doc = certificate_to_json(decide(parse("Box p --> Box q")))
+        val = certificate_from_json(doc).model.to_model().val
+        for w, ms in doc["world_contents"].items():
+            doc["world_contents"][w] = ["r", *reversed(ms), *ms]
+        v = certificate_from_json(doc)
+        assert v.model.to_model().val == val
+        assert set(val) == {"p", "q"}
+        assert verify_certificate(v) is False
 
     def test_members_parsed_only_off_the_closure(self, monkeypatch):
         v = decide(parse("Box p"))

@@ -29,7 +29,7 @@ from glkit.kripke import (
     valid_on_frame,
 )
 from glkit.limits import SizeGuardError
-from glkit.syntax import TRUE, And, Atom, Box, Iff, Imp, Not, Or, parse, subformulas
+from glkit.syntax import TRUE, And, Atom, Box, Formula, Iff, Imp, Not, Or, parse, subformulas
 from helpers import (
     formulas,
     random_formula,
@@ -233,6 +233,40 @@ def _outcome(oracle, f, n):
         return str(e)
 
 
+def _jankov_fine(fr: Frame) -> Formula:
+    """The Jankov-Fine formula of a rooted irreflexive transitive frame
+    with root 0 (Chagrov & Zakharyaschev, *Modal Logic*, 1997, §9.4): an
+    ITF frame refutes it iff fr is a p-morphic image of one of its
+    point-generated subframes. Atom a_i names world i; the premise says,
+    here and at every successor, that exactly one a_i holds and that an
+    a_i world sees an a_j world iff i sees j in fr."""
+    a = [Atom(f"a{i}") for i in sorted(fr.worlds)]
+
+    def dia(g):
+        return Not(Box(Not(g)))
+
+    delta = [functools.reduce(Or, a)]
+    for i in sorted(fr.worlds):
+        delta += [Imp(a[i], Not(a[j])) for j in sorted(fr.worlds) if j != i]
+        delta += [
+            Imp(a[i], dia(a[j]) if (i, j) in fr.rel else Not(dia(a[j])))
+            for j in sorted(fr.worlds)
+        ]
+    d = functools.reduce(And, delta)
+    return Imp(And(d, Box(d)), Not(a[0]))
+
+
+# The branching rooted ITF frames, root 0, written out here rather than
+# read from the table under test.
+_BRANCHING = {
+    "fork": Frame(frozenset(range(3)), frozenset({(0, 1), (0, 2)})),
+    "antichain": Frame(frozenset(range(4)), frozenset({(0, 1), (0, 2), (0, 3)})),
+    "one edge": Frame(frozenset(range(4)), frozenset({(0, 1), (0, 2), (0, 3), (1, 2)})),
+    "V": Frame(frozenset(range(4)), frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)})),
+    "Lambda": Frame(frozenset(range(4)), frozenset({(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)})),
+}
+
+
 class TestRootedTable:
     """`itf_valid_small` sweeps one rooted ITF frame of each shape. That
     decides validity on every ITF frame of at most n worlds because each
@@ -284,6 +318,20 @@ class TestRootedTable:
             calls[n] += 1
             guarded += isinstance(want, str)
         assert guarded >= 20
+
+    @pytest.mark.parametrize("name", _BRANCHING)
+    def test_each_branching_frame_is_swept(self, name):
+        # Its Jankov-Fine formula holds on every other rooted shape of at
+        # most its size, so only this frame refutes it: dropped from the
+        # table, the sweep would call the formula valid.
+        fr = _BRANCHING[name]
+        n = len(fr.worlds)
+        f = _jankov_fine(fr)
+        assert not valid_on_frame(fr, f)
+        others = [g for g in _ROOTED_ITF if len(g.worlds) <= n and not _isomorphic(g, fr)]
+        assert all(valid_on_frame(g, f) for g in others)
+        assert reference_itf_valid_small(f, n) is False
+        assert itf_valid_small(f, n) is False
 
     def test_the_fork_decides_connectedness(self):
         # Valid on every chain, refuted on the fork 0 -> 1, 0 -> 2.

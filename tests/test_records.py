@@ -48,7 +48,7 @@ RECORDS = {
     "Proof": lambda: Proof((AxiomStep(parse("p --> q --> p")), NecStep(0))),
     "Theorem": lambda: Theorem(parse("Box p --> Box Box p")),
     "Countermodel": lambda: Countermodel(_standard_model(), _world()),
-    "ClosureContext": lambda: closure_context(parse("Box p --> p")),
+    "ClosureContext": lambda: ClosureContext(*closure_context(parse("Box p --> p"))),
     "Model": lambda: Model(_frame(), {"p": frozenset({1})}),
     "FrameReport": lambda: FrameReport(True, True, True, True, True, True, True),
     "BisimRelation": lambda: BisimRelation(frozenset({(0, 0), (1, 1)})),

@@ -333,7 +333,7 @@ class TestInterning:
         # the intern table is back to its size before the loop.
         def live() -> int:
             kripke._compile.cache_clear()
-            completeness._engine.cache_clear()
+            completeness._record.cache_clear()
             gc.collect()
             return len(syntax._NODES)
 
@@ -381,8 +381,28 @@ class TestDeepFormulas:
         assert len(subformulas(f)) == self.depth + 2
 
 
+_UNBOUNDED_CACHE = re.compile(
+    r"lru_cache\(\s*(?:maxsize\s*=\s*)?None\b"
+    r"|\bfunctools\.cache\b"
+    r"|^\s*@cache\b"
+    r"|^\s*from\s+functools\s+import\b[^\n]*\bcache\b",
+    re.MULTILINE,
+)
+
+
 def test_no_unbounded_cache_in_the_package():
+    for spelling in [
+        "@lru_cache(maxsize=None)", "@functools.lru_cache( maxsize = None )",
+        "@lru_cache(None)", "@functools.cache", "@cache  # per formula\n",
+        "@cache\n", "from functools import cache, partial",
+    ]:
+        assert _UNBOUNDED_CACHE.search(spelling), spelling
+    for spelling in ["@lru_cache(maxsize=16)", "from functools import cached_property, lru_cache"]:
+        assert not _UNBOUNDED_CACHE.search(spelling), spelling
     src = Path(glkit.__file__).parent
     for path in src.glob("*.py"):
-        assert not re.search(r"lru_cache\(\s*maxsize\s*=\s*None", path.read_text()), path.name
-        assert "@cache\n" not in path.read_text(), path.name
+        assert not _UNBOUNDED_CACHE.search(path.read_text()), path.name
+    # The decide path caches in one place: the per-target record.
+    text = (src / "completeness.py").read_text()
+    assert text.count("lru_cache(") == 1
+    assert re.findall(r"@lru_cache\((.*)\)\ndef (\w+)\(", text) == [("maxsize=16", "_record")]
