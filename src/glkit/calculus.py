@@ -13,8 +13,9 @@ below is the only statement of the axioms: the kernel matches its
 patterns (`match_axiom`), and the proof builder only instantiates them
 (`axiom_instance`), so no code but the kernel matches a schema. Each
 schema is compiled once, from its table row, into a children-first
-program of constructor steps over the argument positions (`_compile`);
-an instance is one run of that program. Catalogue statements are
+program over the argument positions (`_compile`): its leaves, then the
+`syntax.closure_steps` of its compound subformulas, each a constructor
+step; an instance is one run of that program. Catalogue statements are
 compiled the same way on first use.
 """
 
@@ -37,6 +38,7 @@ from .syntax import (
     Not,
     Or,
     children,
+    closure_steps,
     conjlist,
     is_atom_name,
     parse,
@@ -57,17 +59,14 @@ def _compile(params: Sequence[str], pattern: Formula) -> _Program:
     """pattern as a program over its parameters, which stand for the
     arguments in order. Its values align with `subformulas(pattern)`:
     first the leaves, the smallest, each the argument its atom names or
-    the constant itself, then one step per compound subformula, which
-    applies its constructor to the values at a and b (b is None for Not
-    and Box). The last value is the instance."""
-    subs = subformulas(pattern)
-    pos = {g: i for i, g in enumerate(subs)}
+    the constant itself, then the `closure_steps` entry of each compound
+    subformula, which applies its constructor to the values at a and b
+    (b is None for Not and Box). The last value is the instance."""
     leaves: list[int | Formula] = []
     steps = []
-    for g in subs:
-        kids = children(g)
-        if kids:
-            steps.append((type(g), pos[kids[0]], pos[kids[1]] if len(kids) > 1 else None))
+    for g, step in zip(subformulas(pattern), closure_steps(pattern)):
+        if children(g):
+            steps.append(step)
         else:
             leaves.append(params.index(g.name) if isinstance(g, Atom) else g)
     return tuple(leaves), tuple(steps)

@@ -7,9 +7,10 @@ truth tables (a Hintikka set). Worlds therefore correspond one-to-one to
 truth assignments b of the decision formulas (the atoms and boxed
 subformulas in the closure), and the search handles a world as b alone.
 
-Truth table: one run of the shared `kripke` program over the closure,
-with each atom and box step fed its decision's bit pattern, gives every
-closure formula one int whose bit b is its truth under assignment b.
+Truth table: one run of the target's closure program
+(`syntax.closure_steps`) through the `kripke` evaluator, with each atom
+and box step fed its decision's bit pattern, gives every closure formula
+one int whose bit b is its truth under assignment b.
 
 Saturation: a world is saturated when every negated box Not (Box q) in
 it has a saturated successor containing {Box q, Not q} plus every boxed
@@ -67,6 +68,7 @@ from .syntax import (
     Not,
     _signed,
     canonical_order,
+    closure_steps,
     conjlist,
     parse,
     print_closure,
@@ -164,10 +166,8 @@ class _Engine:
         cells = kripke._cell_patterns(k)
         atom_cell = {d.name: c for d, c in zip(ctx.decisions, cells) if isinstance(d, Atom)}
         box_cells = iter([c for d, c in zip(ctx.decisions, cells) if isinstance(d, Box)])
-        steps, names = kripke._compile(ctx.target)
-        self.truth = truth = kripke._run(
-            steps, [atom_cell[a] for a in names], full, lambda _: next(box_cells)
-        )
+        steps = closure_steps(ctx.target)
+        self.truth = truth = kripke._run(steps, atom_cell, full, lambda _: next(box_cells))
         self.members = ctx.signed_closure
         self.pairs = pairs
         # Per box: its decision dimension, then the worlds holding Box q,
@@ -554,7 +554,7 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
         worlds.append(World(tuple(printed.get(s) or parse(s) for s in contents[nm])))
     sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)), rec.context)
     derived = sm.to_model().val
-    for a in set(m.val) | set(derived):
+    for a in sorted(set(m.val) | set(derived)):
         if m.val.get(a, frozenset()) != derived.get(a, frozenset()):
             raise ValueError(
                 f"valuation of {a!r} disagrees with the world contents"

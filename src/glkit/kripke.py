@@ -6,9 +6,11 @@ atoms, so it is an exhaustive oracle and deliberately desk-scale only.
 Well-foundedness of the converse relation, undecidable in general, is
 replaced by acyclicity, which is equivalent on finite carriers.
 
-One bottom-up evaluator serves models and frames alike: it computes the
-truth set of every subformula as a bit mask, and sweeps a frame's
-valuations 2**12 at a time.
+One bottom-up evaluator serves models and frames alike: it runs the
+formula's closure program (`syntax.closure_steps`, kept on the formula's
+node) to compute the truth set of every subformula as a bit mask, and
+sweeps a frame's valuations 2**12 at a time. Nothing here is kept per
+formula.
 
 The ITF oracle `itf_valid_small(f, n)` sweeps the rooted ITF frames of at
 most n worlds, one of each shape, rather than every labelled ITF frame. A
@@ -32,17 +34,15 @@ from .syntax import (
     And,
     Atom,
     Box,
-    Falsity,
     Formula,
     Iff,
     Imp,
     Not,
     Or,
     Truth,
-    children,
+    closure_steps,
     is_atom_name,
     parse,
-    subformulas,
 )
 
 # Single-atom instance of the Lob schema; schema validity on a frame is
@@ -138,63 +138,37 @@ class FrameReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# A formula is compiled once into a program over subformulas(f), which
-# lists children before parents. Running the program yields the truth of
-# every subformula as one int over a block of V valuations x n worlds,
+# The program of a formula is `closure_steps(f)`, kept on its node, which
+# lists children before parents. Running it yields the truth of every
+# subformula as one int over a block of V valuations x n worlds,
 # world-major: bit w*V + v is the truth at world position w under
 # valuation v of the block. A model is the case V = 1.
-
-_FALSE, _TRUE, _ATOM, _NOT, _AND, _OR, _IMP, _IFF, _BOX = range(9)
-_OPS = {
-    Falsity: _FALSE, Truth: _TRUE, Atom: _ATOM, Not: _NOT, And: _AND,
-    Or: _OR, Imp: _IMP, Iff: _IFF, Box: _BOX,
-}
 
 # A frame sweep evaluates 2**_BLOCK_BITS valuations per program run.
 _BLOCK_BITS = 12
 
-_Steps = tuple[tuple[int, int, int], ...]
 
-
-@lru_cache(maxsize=32)
-def _compile(f: Formula) -> tuple[_Steps, tuple[str, ...]]:
-    """Steps (op, a, b) aligned with subformulas(f); a and b index earlier
-    steps, or for an atom step, a indexes the sorted atom names."""
-    subs = subformulas(f)
-    pos = {g: i for i, g in enumerate(subs)}
-    names = tuple(sorted({g.name for g in subs if isinstance(g, Atom)}))
-    steps = []
-    for g in subs:
-        op = _OPS[type(g)]
-        if op == _ATOM:
-            steps.append((op, names.index(g.name), 0))
-        else:
-            kids = [pos[c] for c in children(g)] + [0, 0]
-            steps.append((op, kids[0], kids[1]))
-    return tuple(steps), names
-
-
-def _run(steps: _Steps, leaves: list[int], full: int, box) -> list[int]:
-    """Truth of every step; `leaves` holds the atoms' truth, `box` maps the
-    truth of q to the truth of Box q."""
+def _run(steps: tuple[tuple, ...], leaves: Mapping[str, int], full: int, box) -> list[int]:
+    """Truth of every step; `leaves` maps each atom's name to its truth,
+    `box` maps the truth of q to the truth of Box q."""
     vals: list[int] = []
     push = vals.append
-    for op, a, b in steps:
-        if op == _ATOM:
+    for cls, a, b in steps:
+        if cls is Atom:
             push(leaves[a])
-        elif op == _NOT:
+        elif cls is Not:
             push(full ^ vals[a])
-        elif op == _AND:
+        elif cls is And:
             push(vals[a] & vals[b])
-        elif op == _OR:
+        elif cls is Or:
             push(vals[a] | vals[b])
-        elif op == _IMP:
+        elif cls is Imp:
             push((full ^ vals[a]) | vals[b])
-        elif op == _IFF:
+        elif cls is Iff:
             push(full ^ vals[a] ^ vals[b])
-        elif op == _BOX:
+        elif cls is Box:
             push(box(vals[a]))
-        elif op == _TRUE:
+        elif cls is Truth:
             push(full)
         else:
             push(0)
@@ -203,9 +177,11 @@ def _run(steps: _Steps, leaves: list[int], full: int, box) -> list[int]:
 
 def _model_masks(m: Model, f: Formula) -> list[int]:
     """Truth masks over world positions for every formula of subformulas(f)."""
-    steps, names = _compile(f)
+    steps = closure_steps(f)
     lay = m.frame._layout
-    leaves = [sum(map(lay.bit.get, m.val.get(a, ()), repeat(0))) for a in names]
+    leaves = {
+        a: sum(map(lay.bit.get, m.val.get(a, ()), repeat(0))) for cls, a, _ in steps if cls is Atom
+    }
     box_masks = lay.box_masks
 
     def box(x: int) -> int:
@@ -257,7 +233,10 @@ def _cell_patterns(low: int) -> tuple[int, ...]:
     )
 
 
-def _valid(fr: Frame, steps: _Steps, names: tuple[str, ...]) -> bool:
+def valid_on_frame(fr: Frame, f: Formula) -> bool:
+    """f holds at every world under every valuation of its atoms."""
+    steps = closure_steps(f)
+    names = sorted(a for cls, a, _ in steps if cls is Atom)
     lay = fr._layout
     n = len(lay.bit)
     cells = len(names) * n
@@ -265,21 +244,21 @@ def _valid(fr: Frame, steps: _Steps, names: tuple[str, ...]) -> bool:
         raise SizeGuardError(
             f"{len(names)} atoms x {n} worlds exceeds the valuation sweep limit"
         )
-    # Cell c = a*n + w is atom a at world position w. A valuation is a
-    # bit vector over cells: the low cells vary inside a block, the
-    # others are fixed by the block number.
+    # Cell c = a*n + w is the a-th atom in name order at world position
+    # w. A valuation is a bit vector over cells: the low cells vary
+    # inside a block, the others are fixed by the block number.
     low = min(cells, _BLOCK_BITS)
     width = 1 << low  # V, the valuations in one block
     vmask = (1 << width) - 1
     full = (1 << (n * width)) - 1
-    base = [0] * len(names)
+    base = dict.fromkeys(names, 0)
     for c, pattern in enumerate(_cell_patterns(low)):
         a, w = divmod(c, n)
-        base[a] |= pattern << (w * width)
+        base[names[a]] |= pattern << (w * width)
     high = []
     for c in range(low, cells):
         a, w = divmod(c, n)
-        high.append((c - low, a, vmask << (w * width)))
+        high.append((c - low, names[a], vmask << (w * width)))
     succ = lay.succ
 
     def box(x: int) -> int:
@@ -300,11 +279,6 @@ def _valid(fr: Frame, steps: _Steps, names: tuple[str, ...]) -> bool:
         if _run(steps, leaves, full, box)[-1] != full:
             return False
     return True
-
-
-def valid_on_frame(fr: Frame, f: Formula) -> bool:
-    """f holds at every world under every valuation of its atoms."""
-    return _valid(fr, *_compile(f))
 
 
 def relation_well_typed(fr: Frame) -> bool:
@@ -424,8 +398,7 @@ def itf_valid_small(f: Formula, n: int) -> bool:
     """
     if not 1 <= n <= 4:
         raise SizeGuardError(f"ITF validity oracle supports 1 <= n <= 4, got {n}")
-    steps, names = _compile(f)
-    return all(_valid(fr, steps, names) for fr in _ROOTED_ITF[: _ROOTED_UP_TO[n]])
+    return all(valid_on_frame(fr, f) for fr in _ROOTED_ITF[: _ROOTED_UP_TO[n]])
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ reserved words Not, Box, True, False.
 
 A fixed total order (`canonical_key`) makes every enumeration in the
 package deterministic. `subformulas` lists a closure in that order, and
-`signed_subformulas` merges it with its negations.
+`signed_subformulas` merges it with its negations. The pass that orders
+a closure also writes its program, `closure_steps`, which every
+evaluator in the package runs; the node keeps both, freed with it.
 """
 
 from __future__ import annotations
@@ -289,8 +291,10 @@ def _reachable(roots: Iterable[Formula]) -> set[Formula]:
 _SIZE = attrgetter("size")
 
 
-def _ordered(nodes: set[Formula]) -> list[Formula]:
-    """nodes, a set closed under subformulas, in canonical order.
+def _ordered(nodes: set[Formula]) -> tuple[list[Formula], list[tuple]]:
+    """nodes, a set closed under subformulas, in canonical order, and the
+    step of each: its class and its children's positions in that order,
+    or an atom's name, padded with None to three entries.
 
     The nodes of one size are ordered by their tag and then by their
     atom name or their children's positions; children are smaller, so
@@ -298,31 +302,53 @@ def _ordered(nodes: set[Formula]) -> list[Formula]:
     subformulas this is the order of `canonical_key`, found without
     building canonical keys."""
     order: list[Formula] = []
+    steps: list[tuple] = []
     rank: dict[Formula, int] = {}
 
-    def key(g: Formula):
-        if g._kids:
-            return (_TAG[type(g)], *map(rank.__getitem__, g._kids))
-        return (_TAG[type(g)], g.name) if type(g) is Atom else (_TAG[type(g)],)
+    def step(g: Formula) -> tuple:
+        kids = g._kids
+        if not kids:
+            return (type(g), g.name if type(g) is Atom else None, None)
+        return (type(g), rank[kids[0]], rank[kids[1]] if len(kids) == 2 else None)
 
     for _, group in groupby(sorted(nodes, key=_SIZE), _SIZE):
-        for g in sorted(group, key=key):
+        # Distinct nodes of one tag differ before their steps' padding,
+        # so neither None nor a node is ever compared.
+        for _, s, g in sorted([(_TAG[type(g)], step(g), g) for g in group]):
             rank[g] = len(order)
             order.append(g)
-    return order
+            steps.append(s)
+    return order, steps
+
+
+def _closure(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple, ...]]:
+    """The subformulas of f below f, and the steps of all of them, kept
+    on f. Keeping f itself there would make a reference cycle, which only
+    the cyclic collector frees; the steps hold no formulas."""
+    kept = f._subs
+    if kept is None:
+        order, steps = _ordered(_reachable((f,)))
+        order.pop()
+        kept = (tuple(order), tuple(steps))
+        _set(f, "_subs", kept)
+    return kept
 
 
 def subformulas(f: Formula) -> tuple[Formula, ...]:
     """Subformula closure of f, including f, in canonical order.
 
     f comes last, as the largest. The others are computed once and kept
-    on f; keeping f itself there would make a reference cycle, which
-    only the cyclic garbage collector frees."""
-    below = f._subs
-    if below is None:
-        below = tuple(_ordered(_reachable((f,))))[:-1]
-        _set(f, "_subs", below)
-    return (*below, f)
+    on f, beside `closure_steps(f)`."""
+    return (*_closure(f)[0], f)
+
+
+def closure_steps(f: Formula) -> tuple[tuple, ...]:
+    """The closure program of f: one step (type(g), a, b) per member g of
+    subformulas(f), in that order. a and b are the positions of g's
+    children in subformulas(f), with None where g has fewer than two;
+    for an atom, a is its name. Children come before their parents, so
+    one pass evaluates the closure bottom-up. Computed once, kept on f."""
+    return _closure(f)[1]
 
 
 def _signed(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple[int, bool], ...]]:
@@ -338,11 +364,10 @@ def _signed(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple[int, bool], ..
     twin from the negations there and is kept once, as a closure
     member."""
     closure = subformulas(f)
-    rank = {q: i for i, q in enumerate(closure)}
     not_tag = _TAG[Not]
     keys = [
-        (g.size, not_tag, rank[g.arg]) if type(g) is Not else (g.size, _TAG[type(g)], i)
-        for i, g in enumerate(closure)
+        (g.size, not_tag, a) if cls is Not else (g.size, _TAG[cls], i)
+        for i, (g, (cls, a, _)) in enumerate(zip(closure, closure_steps(f)))
     ]
     merged: list[Formula] = []
     pairs: list[tuple[int, bool]] = []
@@ -373,7 +398,7 @@ def signed_subformulas(f: Formula) -> tuple[Formula, ...]:
 def canonical_order(fs: Iterable[Formula]) -> tuple[Formula, ...]:
     """The distinct members of fs in canonical order."""
     wanted = set(fs)
-    return tuple(g for g in _ordered(_reachable(wanted)) if g in wanted)
+    return tuple(g for g in _ordered(_reachable(wanted))[0] if g in wanted)
 
 
 def atoms(f: Formula) -> frozenset[str]:

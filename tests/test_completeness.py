@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import glkit
 from glkit import completeness, kripke
 from glkit.completeness import (
     ClosureContext,
@@ -632,6 +637,31 @@ class TestCertificateJson:
         doc["val"] = {"p": doc["worlds"]}
         with pytest.raises(ValueError):
             certificate_from_json(doc)
+
+    def test_disagreeing_atom_named_in_sorted_order(self):
+        # Every atom of this certificate disagrees once the valuation is
+        # emptied; the message names the first in sorted order, so it is
+        # the same under every string hash seed.
+        src = str(Path(glkit.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from glkit.completeness import certificate_from_json, certificate_to_json, decide\n"
+            "from glkit.syntax import parse\n"
+            "doc = certificate_to_json(decide(parse('p && q && r --> Box (p || q || r)')))\n"
+            "doc['val'] = {}\n"
+            "try:\n"
+            "    certificate_from_json(doc)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            ).stdout.strip()
+            for seed in range(6)
+        }
+        assert messages == {"valuation of 'p' disagrees with the world contents"}
 
     def test_missing_contents_rejected(self):
         v = decide(parse("Box p --> p"))

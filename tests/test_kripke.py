@@ -1,5 +1,7 @@
 import functools
+import gc
 import random
+import weakref
 from itertools import permutations
 
 import pytest
@@ -385,6 +387,20 @@ def _converse_well_founded(fr: Frame) -> bool:
         nodes -= terminal
         rel = {(x, y) for x, y in rel if x in nodes and y in nodes}
     return not nodes
+
+
+def test_evaluation_keeps_no_formula_alive():
+    # A formula's program lives on its node, so once the caller drops the
+    # formula nothing in kripke holds it.
+    m = model({0, 1}, {(0, 1)}, {"p": {1}})
+    f = parse("Box (p --> Box kept_alive) --> Not Box p")
+    dead = weakref.ref(f)
+    holds(m, f, 0)
+    valid_on_frame(m.frame, f)
+    itf_valid_small(f, 3)
+    del f
+    gc.collect()
+    assert dead() is None
 
 
 def test_acyclic_matches_well_foundedness_oracle():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import glkit
-from glkit import completeness, kripke, syntax
+from glkit import completeness, syntax
 from glkit.completeness import decide
 from glkit.syntax import (
     FALSE,
@@ -27,6 +27,7 @@ from glkit.syntax import (
     canonical_key,
     canonical_order,
     children,
+    closure_steps,
     node_count,
     parse,
     print_closure,
@@ -196,6 +197,51 @@ class TestSubformulas:
         assert ks == sorted(ks)
 
 
+def _chain_formula(rng: random.Random):
+    """A Not/Box chain of 50 to 300 links over a random formula, or a
+    random formula with such a chain on each side of a connective."""
+    def chain(f):
+        for _ in range(rng.randrange(50, 300)):
+            f = rng.choice((Not, Box))(f)
+        return f
+
+    f = chain(random_formula(rng, 3, ("p", "q", "r")))
+    if rng.random() < 0.5:
+        f = rng.choice((And, Or, Imp, Iff))(f, chain(random_formula(rng, 3, ("p", "q"))))
+    return f
+
+
+class TestClosureSteps:
+    def test_pinned(self):
+        f = Imp(Box(p), And(p, TRUE))
+        # Closure: True, p, Box p, p && True, f.
+        assert closure_steps(f) == (
+            (type(TRUE), None, None),
+            (Atom, "p", None),
+            (Box, 1, None),
+            (And, 1, 0),
+            (Imp, 2, 3),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_step_per_closure_member(self, seed):
+        rng = random.Random(seed)
+        for k in range(40):
+            f = _chain_formula(rng) if k % 4 == 0 else random_formula(rng, 6, ("p", "q", "r"))
+            closure, steps = subformulas(f), closure_steps(f)
+            assert len(steps) == len(closure)
+            for g, (cls, a, b) in zip(closure, steps):
+                assert cls is type(g)
+                if type(g) is Atom:
+                    assert (a, b) == (g.name, None)
+                else:
+                    kids = children(g)
+                    padded = [closure[i] for i in (a, b)[: len(kids)]]
+                    assert tuple(padded) == kids
+                    assert (a, b)[len(kids):] == (None,) * (2 - len(kids))
+            assert closure_steps(f) is steps
+
+
 class TestAtoms:
     def test_examples(self):
         assert atoms(FALSE) == frozenset()
@@ -332,7 +378,6 @@ class TestInterning:
         # Only the bounded caches keep formulas alive; with them cleared,
         # the intern table is back to its size before the loop.
         def live() -> int:
-            kripke._compile.cache_clear()
             completeness._record.cache_clear()
             gc.collect()
             return len(syntax._NODES)
@@ -406,3 +451,10 @@ def test_no_unbounded_cache_in_the_package():
     text = (src / "completeness.py").read_text()
     assert text.count("lru_cache(") == 1
     assert re.findall(r"@lru_cache\((.*)\)\ndef (\w+)\(", text) == [("maxsize=16", "_record")]
+    # Model and frame checks cache nothing per formula: kripke's one cache
+    # is keyed by a block width.
+    text = (src / "kripke.py").read_text()
+    assert text.count("lru_cache(") == 1
+    assert re.findall(r"@lru_cache\((.*)\)\ndef (\w+)\(", text) == [
+        ("maxsize=_BLOCK_BITS + 1", "_cell_patterns")
+    ]
