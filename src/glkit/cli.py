@@ -126,8 +126,8 @@ def _cmd_check_cert(args) -> int:
     from .completeness import certificate_from_json, verify_certificate
 
     doc = _load_json(args.cert)
-    # The loader prints the target's whole signed closure, so the depth
-    # bound applies before it runs.
+    # The loader orders the target's closure and the verifier evaluates
+    # it on the model, so the depth bound applies before either runs.
     target = doc.get("target") if isinstance(doc, dict) else None
     if isinstance(target, str):
         check_depth(parse(target))

@@ -36,25 +36,26 @@ one cache, an `lru_cache` of the 16 most recently used targets keyed by
 the interned formula. A record holds the closure context, each signed
 member's (closure index, polarity) from the merge that orders the
 signed closure, and, built on first use, the engine (truth table and
-saturated set) and the printed texts of the signed closure with their
-inverse. `closure_context`, `decide`, `hintikka_worlds`, `saturate` and
-both serializers read the target's record, so a target decided, printed
-and reloaded in one process is analysed once.
+saturated set). `closure_context`, `decide`, `hintikka_worlds`,
+`saturate` and both serializers read the target's record, so a target
+decided, written and reloaded in one process is analysed once.
 
-Serialization: a certificate is a model document plus the target, the
-witness and each world's members as text. `certificate_to_json` looks
-each member's text up among the record's printed texts (the signed
-closure printed once, children first, by `syntax.print_closure`);
-`certificate_from_json` parses the target, finds or builds its record,
-looks member strings up in the inverse table and parses only those it
-misses. In a fresh process it builds the context and the texts but no
-engine, and `verify_certificate` reads nothing from the engine.
+Serialization: a certificate is a model document plus the target as
+text, its closure as shared terms written from `syntax.closure_steps`,
+the witness, and each world as a truth mask over closure positions. The
+record's (closure index, polarity) pairs turn a mask into members, for
+the writer, which checks that each world comes back exactly, and for
+the loader, which parses the target only. In a fresh process the loader
+builds the context but no engine, and `verify_certificate` reads
+nothing from the engine.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
+from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -66,17 +67,19 @@ from .syntax import (
     Box,
     Formula,
     Not,
+    _CONSTANT_NAMES,
     _signed,
     canonical_order,
     closure_steps,
     conjlist,
     parse,
-    print_closure,
     print_formula,
     subformulas,
 )
 
 MAX_DECISION_BITS = 16
+# A mask as `certificate_to_json` writes it, f"{mask:x}" for a mask >= 0.
+_MASK = re.compile("0|[1-9a-f][0-9a-f]*")
 
 # Records set their fields past their own refusing __setattr__.
 _set = object.__setattr__
@@ -98,7 +101,7 @@ class ClosureContext(NamedTuple):
 def closure_context(target: Formula) -> ClosureContext:
     """The subformula closure of target, its signed extension and its
     decision formulas. This is the context kept in target's record, so a
-    target decided, printed and reloaded in one process has its closure
+    target decided, written and reloaded in one process has its closure
     worked out once while it stays among the 16 most recent targets."""
     return _record(target).context
 
@@ -246,10 +249,9 @@ class _Engine:
 class _Record:
     """Everything kept for one target: its closure context, each signed
     member's (closure index, polarity) from the merge that orders the
-    signed closure, and, each built on first use, the engine and the
-    printed texts of the signed closure with their inverse."""
+    signed closure, and the engine, built on first use."""
 
-    __slots__ = ("context", "pairs", "_engine", "_texts")
+    __slots__ = ("context", "pairs", "_engine")
 
     def __init__(self, target: Formula):
         closure = subformulas(target)
@@ -257,22 +259,12 @@ class _Record:
         decisions = tuple(q for q in closure if isinstance(q, (Atom, Box)))
         self.context = ClosureContext(target, closure, signed, decisions)
         self._engine = None
-        self._texts = None
 
     def engine(self) -> _Engine:
         eng = self._engine
         if eng is None:
             eng = self._engine = _Engine(self.context, self.pairs)
         return eng
-
-    def texts(self) -> tuple[dict[Formula, str], dict[str, Formula]]:
-        """Each signed-closure member's `print_formula` text, and the
-        member of each text."""
-        texts = self._texts
-        if texts is None:
-            text = print_closure(self.context.signed_closure)
-            texts = self._texts = (text, {t: g for g, t in text.items()})
-        return texts
 
 
 @lru_cache(maxsize=16)
@@ -504,54 +496,76 @@ def extend_maximal_consistent(
 # Certificate serialization
 
 
+def _closure_terms(f: Formula) -> list:
+    """subformulas(f) as the shared terms of a proof document: an atom's
+    name, True, False, or a tag and its children's closure positions."""
+    return [
+        a if cls is Atom
+        else _CONSTANT_NAMES[cls] if a is None
+        else [cls.__name__, a] if b is None
+        else [cls.__name__, a, b]
+        for cls, a, b in closure_steps(f)
+    ]
+
+
+def _members(rec: _Record, mask: int) -> tuple[Formula, ...]:
+    """The members of the world holding closure formula i iff bit i of mask is set."""
+    keep = [(mask >> i & 1) == positive for i, positive in rec.pairs]
+    return tuple(compress(rec.context.signed_closure, keep))
+
+
 def certificate_to_json(v: Countermodel) -> dict:
-    """The certificate as a model document plus `target`, `witness` and
-    `world_contents`. Each member's text is looked up among the printed
-    signed closure of the target's record; a member from outside it is
-    printed on its own."""
+    """A model document plus `target`, `closure` (as shared terms), `witness`
+    and `world_truth`: per world, a hex mask whose bit i is set iff closure
+    formula i is a member. A world its mask does not give back raises ValueError."""
     sm = v.model
-    text = _record(sm.target).texts()[0]
+    rec = _record(sm.target)
     doc = kripke.model_to_json(sm.to_model())
-    doc["target"] = text[sm.target]
+    doc["target"] = print_formula(sm.target)
+    doc["closure"] = _closure_terms(sm.target)
     doc["witness"] = f"w{sm.worlds.index(v.witness)}"
-    doc["world_contents"] = {
-        f"w{i}": [text.get(m) or print_formula(m) for m in w.members]
-        for i, w in enumerate(sm.worlds)
-    }
+    truth = doc["world_truth"] = {}
+    for i, w in enumerate(sm.worlds):
+        ms = w.member_set
+        mask = sum(1 << j for j, q in enumerate(rec.context.closure) if q in ms)
+        if _members(rec, mask) != w.members:
+            raise ValueError(f"world w{i} is not one signed member per closure formula")
+        truth[f"w{i}"] = f"{mask:x}"
     return doc
 
 
 def certificate_from_json(doc: Mapping) -> Countermodel:
-    """Load a certificate: a model document (see `kripke.model_from_json`)
-    plus `target`, `witness` and `world_contents`. A document of the
-    wrong shape raises ValueError naming the bad field."""
+    """Load a certificate as `certificate_to_json` writes it. `closure`
+    is compared with the table written for the parsed target, not parsed.
+    A document of the wrong shape raises ValueError naming the bad field."""
     m, names = kripke.model_from_json(doc)
-    target, witness, contents = (
-        doc.get(key) for key in ("target", "witness", "world_contents")
+    target, witness, closure, truth = (
+        doc.get(key) for key in ("target", "witness", "closure", "world_truth")
     )
     if not isinstance(target, str):
         raise ValueError("certificate field 'target': expected a formula string")
     if not isinstance(witness, str):
         raise ValueError("certificate field 'witness': expected a world name")
-    if not isinstance(contents, Mapping) or not all(
-        isinstance(ms, (list, tuple)) and all(isinstance(s, str) for s in ms)
-        for ms in contents.values()
-    ):
-        raise ValueError(
-            "certificate field 'world_contents': expected an object mapping "
-            "world names to lists of formula strings"
-        )
-    # Members are looked up by their printed form among the target's
-    # signed closure, printed once per record, and parsed only when that
-    # misses.
+    if not isinstance(truth, Mapping):
+        raise ValueError("certificate field 'world_truth': expected an object of hex masks")
     f = parse(target)
-    rec = _record(f)
-    printed = rec.texts()[1]
-    worlds = []
+    # An equal table may still hold true or 1.0 for a position.
+    if closure != _closure_terms(f) or any(
+        type(c) is not int for t in closure if type(t) is list for c in t[1:]
+    ):
+        raise ValueError("certificate field 'closure': not the target's closure as shared terms")
+    rec, n, worlds = _record(f), len(closure), []
     for nm in names:
-        if nm not in contents:
-            raise ValueError(f"missing world contents for {nm!r}")
-        worlds.append(World(tuple(printed.get(s) or parse(s) for s in contents[nm])))
+        s = truth.get(nm)
+        if not (type(s) is str and _MASK.fullmatch(s)) or int(s, 16) >> n:
+            raise ValueError(
+                f"certificate field 'world_truth': world {nm!r} needs a lowercase hex "
+                f"mask with no prefix, below 2**{n}; got {s!r:.40}"
+            )
+        worlds.append(World(_members(rec, int(s, 16))))
+    if len(truth) > len(names):
+        extra = next(nm for nm in truth if nm not in names)
+        raise ValueError(f"certificate field 'world_truth': undeclared world {extra!r}")
     sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)), rec.context)
     derived = sm.to_model().val
     for a in sorted(set(m.val) | set(derived)):

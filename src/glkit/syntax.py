@@ -29,10 +29,7 @@ to an operand, or a parenthesised formula. `parse` is iterative (an
 operator-precedence parser with an operand and an operator stack), and
 so are `print_formula`, which emits the fewest parentheses that parse
 back to the same formula, and `subformulas`; nesting depth is bounded
-by memory only. `print_closure` prints a whole subformula closure at
-once, children first: each node's text is built from its children's
-texts by the same parenthesisation rule, so a closure of n nodes costs
-n concatenations rather than n walks.
+by memory only.
 
 Identifiers match [A-Za-z][A-Za-z0-9_]* and may not be one of the
 reserved words Not, Box, True, False.
@@ -41,7 +38,8 @@ A fixed total order (`canonical_key`) makes every enumeration in the
 package deterministic. `subformulas` lists a closure in that order, and
 `signed_subformulas` merges it with its negations. The pass that orders
 a closure also writes its program, `closure_steps`, which every
-evaluator in the package runs; the node keeps both, freed with it.
+evaluator in the package runs and from which a certificate writes the
+closure as shared terms; the node keeps both, freed with it.
 """
 
 from __future__ import annotations
@@ -548,9 +546,6 @@ def parse(text: str) -> Formula:
 
 _SPELLING = {cls: (tok, level, right) for tok, (cls, level, right) in _CONNECTIVES.items()}
 _CONSTANT_NAMES = {type(c): tok for tok, c in _CONSTANTS.items()}
-# Binding levels for `print_closure`; atoms and constants bind tightest.
-_LEVEL = {cls: level for cls, (_, level, _) in _SPELLING.items()}
-_ATOMIC = _PREFIX + 1
 
 
 def print_formula(f: Formula) -> str:
@@ -592,33 +587,3 @@ def print_formula(f: Formula) -> str:
         if level < ctx:
             stack.append("(")
     return "".join(out)
-
-
-def print_closure(nodes: Iterable[Formula]) -> dict[Formula, str]:
-    """Each node's `print_formula` text, built from its children's texts.
-
-    nodes must be closed under subformulas and list children first, as
-    `subformulas` and `signed_subformulas` do. A child's text is
-    parenthesised when its connective binds looser than its context,
-    the rule `print_formula` applies. Every text is kept, which for a
-    deep chain is quadratic in its depth, so a single formula is printed
-    by `print_formula`."""
-    text: dict[Formula, str] = {}
-
-    def operand(c: Formula, ctx: int) -> str:
-        return f"({text[c]})" if _LEVEL.get(type(c), _ATOMIC) < ctx else text[c]
-
-    for g in nodes:
-        spelling = _SPELLING.get(type(g))
-        if spelling is None:
-            text[g] = g.name if type(g) is Atom else _CONSTANT_NAMES[type(g)]
-            continue
-        tok, lvl, right_assoc = spelling
-        if lvl == _PREFIX:
-            text[g] = f"{tok} {operand(g.arg, lvl)}"
-        else:
-            text[g] = (
-                f"{operand(g.left, lvl + right_assoc)} {tok} "
-                f"{operand(g.right, lvl + 1 - right_assoc)}"
-            )
-    return text

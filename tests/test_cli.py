@@ -91,8 +91,11 @@ class TestCheckCert:
         assert capsys.readouterr().out == "certificate verified\n"
 
     def test_tampered_member_list_rejected(self, tmp_path, capsys, cert_doc):
-        # Box p holds at the witness, which no longer lists it.
-        cert_doc["world_contents"][cert_doc["witness"]].remove("Box p")
+        # Box p holds at the witness, whose mask no longer has its bit.
+        closure, truth, witness = cert_doc["closure"], cert_doc["world_truth"], cert_doc["witness"]
+        box_p = closure.index(["Box", closure.index("p")])
+        assert int(truth[witness], 16) >> box_p & 1
+        truth[witness] = f"{int(truth[witness], 16) ^ 1 << box_p:x}"
         path = write_model(tmp_path, cert_doc)
         capsys.readouterr()
         assert main(["check-cert", path]) == 1
@@ -101,12 +104,20 @@ class TestCheckCert:
         assert json.loads(capsys.readouterr().out) == {"ok": False}
 
     def test_missing_world_contents_exit_2(self, tmp_path, capsys, cert_doc):
-        del cert_doc["world_contents"]
+        del cert_doc["world_truth"]
         capsys.readouterr()
         assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'world_contents'" in captured.err
+        assert "'world_truth'" in captured.err
+
+    def test_v1_document_exit_2(self, tmp_path, capsys, cert_doc):
+        # Member lists as text, the earlier format, no longer load.
+        del cert_doc["world_truth"], cert_doc["closure"]
+        cert_doc["world_contents"] = {"w0": ["Not p", "Box p", "Not (Box p --> p)"]}
+        capsys.readouterr()
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
+        assert "'world_truth'" in capsys.readouterr().err
 
     def test_undeclared_witness_exit_2(self, tmp_path, capsys, cert_doc):
         cert_doc["witness"] = "w99"
@@ -288,7 +299,25 @@ class TestBisimCommand:
         assert capsys.readouterr().out == doc
 
 
+def chain(n: int, back_edge: bool = False) -> dict:
+    """A strict linear order of n worlds, with a back edge from its last
+    world to its first if asked, as a model document."""
+    rel = [[f"w{x}", f"w{y}"] for x in range(n) for y in range(x + 1, n)]
+    return {"worlds": [f"w{x}" for x in range(n)], "rel": rel + [[f"w{n - 1}", "w0"]] * back_edge}
+
+
 class TestFrameCheck:
+    @pytest.mark.parametrize("n", [25, 100, 200])
+    def test_chains_past_the_sweep_limit(self, tmp_path, capsys, n):
+        fields = [*kripke.FrameReport._fields, "itf"]
+        assert main(["frame-check", write_model(tmp_path, chain(n)), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == dict.fromkeys(fields, True)
+        assert main(["frame-check", write_model(tmp_path, chain(n, True)), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == fields
+        failing = [f for f in fields if not doc[f]]
+        assert failing == ["transitive", "acyclic", "validates_lob", "itf"]
+
     def test_itf_frame(self, tmp_path, capsys):
         path = write_model(tmp_path, {"worlds": ["u"], "rel": [], "val": {}})
         assert main(["frame-check", path]) == 0

@@ -125,27 +125,50 @@ MODEL_BREAKERS = [
 ]
 
 
-def _contents(doc, draw):
-    return doc["world_contents"][draw(st.sampled_from(sorted(doc["world_contents"])))]
-
-
 def _missing_world(doc, draw):
-    del doc["world_contents"][draw(st.sampled_from(doc["worlds"]))]
+    del doc["world_truth"][draw(st.sampled_from(doc["worlds"]))]
     return doc
 
 
-def _members_not_a_list(doc, draw):
-    doc["world_contents"][draw(st.sampled_from(doc["worlds"]))] = draw(not_list)
+def _undeclared_world(doc, draw):
+    doc["world_truth"][draw(st.text(max_size=4).filter(lambda w: w not in doc["worlds"]))] = "0"
     return doc
 
 
-def _member_not_a_string(doc, draw):
-    _contents(doc, draw).append(draw(not_str))
+def _mask_not_a_string(doc, draw):
+    doc["world_truth"][draw(st.sampled_from(doc["worlds"]))] = draw(not_str)
     return doc
 
 
-def _member_unparseable(doc, draw):
-    _contents(doc, draw).append(draw(bad_formulas))
+def _mask_not_canonical(doc, draw):
+    w = draw(st.sampled_from(doc["worlds"]))
+    mask = doc["world_truth"][w]
+    # The last spelling is in upper case, with a hex letter at its end.
+    upper = f"{int(mask, 16) | 0xa:X}"
+    doc["world_truth"][w] = draw(st.sampled_from(
+        ["0x" + mask, "-" + mask, "1_" + mask, "0" + mask, " " + mask, mask + "g", upper]
+    ))
+    return doc
+
+
+def _mask_too_wide(doc, draw):
+    w = draw(st.sampled_from(doc["worlds"]))
+    bit = draw(st.integers(len(doc["closure"]), 4 * len(doc["closure"])))
+    doc["world_truth"][w] = f"{int(doc['world_truth'][w], 16) | 1 << bit:x}"
+    return doc
+
+
+def _repeated_node(doc, draw):
+    closure = doc["closure"]
+    closure.insert(draw(st.integers(0, len(closure))), draw(st.sampled_from(closure)))
+    return doc
+
+
+def _forward_node(doc, draw):
+    closure = doc["closure"]
+    i = draw(st.sampled_from([i for i, t in enumerate(closure) if isinstance(t, list)]))
+    later = st.integers(i, len(closure) + 3)
+    closure[i] = [closure[i][0], *(draw(later) for _ in closure[i][1:])]
     return doc
 
 
@@ -167,8 +190,9 @@ def _target_too_deep(doc, draw):
 CERT_BREAKERS = MODEL_BREAKERS + [
     _drop("target"), _set("target", not_str), _set("target", bad_formulas),
     _drop("witness"), _set("witness", not_str), _undeclared_witness,
-    _drop("world_contents"), _set("world_contents", not_object), _missing_world,
-    _members_not_a_list, _member_not_a_string, _member_unparseable,
+    _drop("world_truth"), _set("world_truth", not_object), _missing_world,
+    _undeclared_world, _mask_not_a_string, _mask_not_canonical, _mask_too_wide,
+    _drop("closure"), _set("closure", junk), _repeated_node, _forward_node,
     _valuation_disagrees, _target_too_deep,
 ]
 

@@ -38,8 +38,10 @@ from glkit.syntax import (
     Not,
     canonical_key,
     canonical_order,
+    children,
     parse,
     print_formula,
+    subformulas,
 )
 from helpers import (
     box_subformula_count,
@@ -479,6 +481,23 @@ class TestVerifyAgainstReference:
         # refutes the target.
         assert seen.get(("witness moved", False), 0) >= 100
 
+    def test_writer_refuses_or_keeps_every_mutant(self, certificates):
+        # A world its mask cannot give back is refused; any other mutant
+        # is written so that its reload verifies exactly when it does.
+        rng = random.Random(12)
+        refused: dict[str, int] = {}
+        for v in certificates:
+            for kind, bad in certificate_mutants(v, rng):
+                try:
+                    doc = certificate_to_json(bad)
+                except ValueError:
+                    refused[kind] = refused.get(kind, 0) + 1
+                    continue
+                reloaded = certificate_from_json(json.loads(json.dumps(doc)))
+                assert verify_certificate(reloaded) is verify_certificate(bad), kind
+        assert refused.get("member dropped", 0) >= 100
+        assert set(refused) <= {"member dropped", "member added", "member appended"}
+
 
 class TestTheoremOracle:
     """Theorem verdicts against random irreflexive transitive models of up
@@ -569,13 +588,25 @@ class TestExtendMaximalConsistent:
 
 
 def reference_certificate_json(v: Countermodel) -> dict:
-    """The certificate document with every member printed on its own."""
+    """The certificate document built from its definition: each closure
+    node from its children's closure positions, and each world's mask bit
+    by bit from its membership."""
     sm = v.model
+    closure = subformulas(sm.target)
+    pos = {g: i for i, g in enumerate(closure)}
+
+    def node(g):
+        if not children(g):
+            return print_formula(g)
+        return [type(g).__name__, *(pos[c] for c in children(g))]
+
     doc = kripke.model_to_json(sm.to_model())
     doc["target"] = print_formula(sm.target)
+    doc["closure"] = [node(g) for g in closure]
     doc["witness"] = f"w{sm.worlds.index(v.witness)}"
-    doc["world_contents"] = {
-        f"w{i}": [print_formula(m) for m in w.members] for i, w in enumerate(sm.worlds)
+    doc["world_truth"] = {
+        f"w{i}": f"{sum(1 << j for j, g in enumerate(closure) if g in w):x}"
+        for i, w in enumerate(sm.worlds)
     }
     return doc
 
@@ -591,6 +622,16 @@ class TestSignedClosure:
         g = Imp(Not(f), Not(Not(f)))
         ctx = closure_context(g)
         assert ctx.signed_closure == reference_signed_closure(ctx.closure)
+
+
+def flip(doc: dict, world: str, i: int) -> None:
+    """Flip bit i of world's mask in a certificate document."""
+    doc["world_truth"][world] = f"{int(doc['world_truth'][world], 16) ^ 1 << i:x}"
+
+
+# A target whose certificate has three worlds, two edges, two atoms and
+# masks with hex letters in them.
+RICH = "Box (p --> Box q) --> Box p || q"
 
 
 class TestCertificateJson:
@@ -618,11 +659,15 @@ class TestCertificateJson:
         assert doc == reference_certificate_json(v)
         assert certificate_from_json(doc) == v
 
-    def test_member_outside_the_closure_prints_on_its_own(self):
-        doc = certificate_to_json(decide(parse("Box p")))
-        doc["world_contents"]["w0"].append("Box Box Box q")
-        v = certificate_from_json(doc)
-        assert certificate_to_json(v) == doc == reference_certificate_json(v)
+    def test_pinned_fields(self):
+        doc = certificate_to_json(decide(parse(RICH)))
+        assert doc["closure"] == [
+            "p", "q", ["Box", 0], ["Box", 1], ["Or", 2, 1], ["Imp", 0, 3], ["Box", 5],
+            ["Imp", 6, 4],
+        ]
+        assert doc["world_truth"] == {"w0": "ff", "w1": "69", "w2": "fe"}
+        constants = certificate_to_json(decide(parse("True --> False")))
+        assert constants["closure"] == ["False", "True", ["Imp", 1, 0]]
 
     def test_round_trip(self):
         v = decide(parse("Box p --> p"))
@@ -666,13 +711,19 @@ class TestCertificateJson:
     def test_missing_contents_rejected(self):
         v = decide(parse("Box p --> p"))
         doc = certificate_to_json(v)
-        del doc["world_contents"]["w0"]
-        with pytest.raises(ValueError):
+        del doc["world_truth"]["w0"]
+        with pytest.raises(ValueError, match="world_truth.*'w0'.*got None"):
+            certificate_from_json(doc)
+
+    def test_undeclared_world_rejected(self):
+        doc = certificate_to_json(decide(parse("Box p --> p")))
+        doc["world_truth"]["w9"] = "0"
+        with pytest.raises(ValueError, match="world_truth.*undeclared world 'w9'"):
             certificate_from_json(doc)
 
     def test_shapeless_document_rejected(self):
         with pytest.raises(ValueError, match="worlds"):
-            certificate_from_json({"target": "p", "worlds": 5, "world_contents": {}})
+            certificate_from_json({"target": "p", "worlds": 5, "world_truth": {}})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -680,61 +731,98 @@ class TestCertificateJson:
             ("target", 5),
             ("witness", 0),
             ("witness", "w1"),
-            ("world_contents", ["p"]),
-            ("world_contents", {"w0": "Not p"}),
+            ("world_truth", ["0"]),
+            ("world_truth", {"w0": 0}),
+            ("closure", None),
+            ("closure", ["q"]),
         ],
     )
     def test_malformed_field_rejected(self, field, value):
         doc = {
             "target": "p",
+            "closure": ["p"],
             "worlds": ["w0"],
             "witness": "w0",
-            "world_contents": {"w0": ["Not p"]},
+            "world_truth": {"w0": "0"},
         }
         assert verify_certificate(certificate_from_json(doc)) is True
         with pytest.raises(ValueError, match=field):
             certificate_from_json({**doc, field: value})
 
-    def test_member_false_at_its_world_fails_verification(self):
-        # Not p is a signed-closure member of Box p, false at w0.
-        doc = certificate_to_json(decide(parse("Box p")))
-        assert "p" in doc["world_contents"]["w0"]
-        doc["world_contents"]["w0"].append("Not p")
-        assert verify_certificate(certificate_from_json(doc)) is False
+    @pytest.mark.parametrize("spelling", ["0x{}", "-{}", "0_{}", "0{}", " {}", "{}\n", "{}L", "FF"])
+    def test_mask_spelled_otherwise_rejected(self, spelling):
+        doc = certificate_to_json(decide(parse(RICH)))
+        assert doc["world_truth"]["w0"] == "ff"
+        doc["world_truth"]["w0"] = spelling.format("ff")
+        with pytest.raises(ValueError, match="world_truth.*'w0'"):
+            certificate_from_json(doc)
 
-    def test_member_outside_the_closure_fails_verification(self):
-        doc = certificate_to_json(decide(parse("Box p")))
-        for members in doc["world_contents"].values():
-            members.append("Box Box Box q")
-        assert verify_certificate(certificate_from_json(doc)) is False
+    def test_mask_past_the_closure_rejected(self):
+        doc = certificate_to_json(decide(parse(RICH)))
+        flip(doc, "w2", len(doc["closure"]))
+        with pytest.raises(ValueError, match="world_truth.*'w2'"):
+            certificate_from_json(doc)
+        flip(doc, "w2", len(doc["closure"]))
+        assert verify_certificate(certificate_from_json(doc)) is True
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: c.append(c[-1]),  # a repeated node
+            lambda c: c.insert(0, "p"),  # an unused, repeated leaf
+            lambda c: c.__setitem__(2, ["Box", 3]),  # a forward child
+            lambda c: c.__setitem__(2, ["Box", False]),  # a bool for position 0
+            lambda c: c.__setitem__(2, ["Box", 0.0]),
+            lambda c: c.__setitem__(2, ("Box", 0)),
+            lambda c: c.pop(),  # the root dropped
+            lambda c: c.reverse(),
+        ],
+    )
+    def test_closure_other_than_the_targets_rejected(self, change):
+        doc = certificate_to_json(decide(parse(RICH)))
+        change(doc["closure"])
+        with pytest.raises(ValueError, match="closure"):
+            certificate_from_json(doc)
+
+    def test_member_false_at_its_world_fails_verification(self):
+        # Flipping bit i of a world's mask swaps closure formula i for its
+        # negation, which is false there. For an atom the load already
+        # sees the valuation disagree; otherwise verification rejects it.
+        doc = certificate_to_json(decide(parse(RICH)))
+        for w in doc["worlds"]:
+            for i, node in enumerate(doc["closure"]):
+                bad = json.loads(json.dumps(doc))
+                flip(bad, w, i)
+                if isinstance(node, str):
+                    with pytest.raises(ValueError, match="valuation"):
+                        certificate_from_json(bad)
+                else:
+                    assert verify_certificate(certificate_from_json(bad)) is False, (w, i)
 
     def test_valuation_reads_the_closure_atoms_of_any_member_list(self):
-        # Out of order, repeated, and with an atom from outside the
-        # target's closure: the valuation still agrees with the document,
-        # so the load succeeds and verification rejects the lists.
+        # Every non-atom bit flipped: the valuation, read from the atoms'
+        # bits, still agrees with the document, so the load succeeds and
+        # verification rejects the worlds.
         doc = certificate_to_json(decide(parse("Box p --> Box q")))
         val = certificate_from_json(doc).model.to_model().val
-        for w, ms in doc["world_contents"].items():
-            doc["world_contents"][w] = ["r", *reversed(ms), *ms]
+        for w in doc["worlds"]:
+            for i, node in enumerate(doc["closure"]):
+                if not isinstance(node, str):
+                    flip(doc, w, i)
         v = certificate_from_json(doc)
         assert v.model.to_model().val == val
         assert set(val) == {"p", "q"}
         assert verify_certificate(v) is False
 
-    def test_members_parsed_only_off_the_closure(self, monkeypatch):
-        v = decide(parse("Box p"))
+    def test_only_the_target_is_parsed(self, monkeypatch):
+        v = decide(parse(RICH))
         doc = certificate_to_json(v)
         texts = []
         monkeypatch.setattr(
             completeness, "parse", lambda t: texts.append(t) or parse(t)
         )
         assert certificate_from_json(doc) == v
-        assert texts == ["Box p"]
-        doc["world_contents"] = {
-            w: [f"({s})" for s in members]
-            for w, members in doc["world_contents"].items()
-        }
-        assert certificate_from_json(doc) == v
+        assert texts == [RICH]
 
     def test_loaded_tampered_edge_fails_verification(self):
         v = decide(parse("Box p --> p"))
@@ -742,6 +830,42 @@ class TestCertificateJson:
         doc["rel"].append([doc["witness"], doc["witness"]])
         v2 = certificate_from_json(doc)
         assert verify_certificate(v2) is False
+
+    def test_deep_target_is_linear_in_size(self):
+        # Printed member lists made this about 1 MB: each world listed all
+        # 999 closure members in full.
+        f = parse("Not " * 998 + "p")
+        v = decide(f)
+        assert isinstance(v, Countermodel)
+        text = json.dumps(certificate_to_json(v))
+        assert len(text) <= 32 * 1024
+        assert verify_certificate(certificate_from_json(json.loads(text))) is True
+
+    def test_member_outside_the_closure_refused_by_the_writer(self):
+        # No mask names Box Box Box q, so writing this world would drop it.
+        v = decide(parse("Box p"))
+        sm = v.model
+        extra = World(sm.worlds[0].members + (parse("Box Box Box q"),))
+        bad = Countermodel(StandardModel(sm.target, (extra, *sm.worlds[1:]), sm.rel), v.witness)
+        assert verify_certificate(bad) is False
+        with pytest.raises(ValueError, match="world w0"):
+            certificate_to_json(bad)
+
+    def test_dropped_member_refused_by_the_writer(self):
+        # The "member dropped" mutant of `certificate_mutants`: its mask
+        # cannot say that a world holds neither q nor Not q, so writing it
+        # would give back a world that verifies.
+        v = decide(parse(RICH))
+        sm = v.model
+        i = sm.worlds.index(v.witness)
+        members = sm.worlds[i].members
+        for j in range(len(members)):
+            dropped = World(members[:j] + members[j + 1:])
+            worlds = sm.worlds[:i] + (dropped,) + sm.worlds[i + 1:]
+            bad = Countermodel(StandardModel(sm.target, worlds, sm.rel), dropped)
+            assert verify_certificate(bad) is False
+            with pytest.raises(ValueError, match="world w1"):
+                certificate_to_json(bad)
 
 
 def test_decide_agrees_with_lemma_kernel():

@@ -187,6 +187,36 @@ class TestFramePredicates:
         rep = frame_report(Frame(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)})))
         assert not rep.transitive
 
+    def test_lob_agrees_with_the_sweep(self):
+        # Every frame of at most 3 worlds, and seeded random frames of 4 to
+        # 6 worlds of every density.
+        frames = [Frame(frozenset(), frozenset()), *enumerate_frames(3)]
+        rng = random.Random(16)
+        for _ in range(1500):
+            n, density = rng.randint(4, 6), rng.random()
+            pairs = [(x, y) for x in range(n) for y in range(n) if rng.random() < density]
+            frames.append(Frame(frozenset(range(n)), frozenset(pairs)))
+        for fr in frames:
+            assert frame_report(fr).validates_lob == valid_on_frame(fr, LOB_INSTANCE), fr
+
+    @given(scattered_frames())
+    def test_lob_agrees_with_the_sweep_on_scattered_frames(self, frame_ids):
+        fr, _ = frame_ids
+        assert frame_report(fr).validates_lob == valid_on_frame(fr, LOB_INSTANCE)
+
+    @pytest.mark.parametrize("n", [25, 100, 200])
+    def test_lob_on_chains_past_the_sweep_limit(self, n):
+        # Strict linear orders, listed upwards and downwards, and each with
+        # one back edge that closes a cycle.
+        up = {(x, y) for x in range(n) for y in range(x + 1, n)}
+        down = {(y, x) for x, y in up}
+        worlds = frozenset(range(n))
+        with pytest.raises(SizeGuardError):
+            valid_on_frame(Frame(worlds, frozenset(up)), LOB_INSTANCE)
+        for rel, back in ((up, (n - 1, 0)), (down, (0, n - 1))):
+            assert frame_report(Frame(worlds, frozenset(rel))).validates_lob is True
+            assert frame_report(Frame(worlds, frozenset(rel | {back}))).validates_lob is False
+
     def test_is_itf(self):
         assert is_itf(Frame(frozenset({0}), frozenset())) is True
         assert is_itf(Frame(frozenset(), frozenset())) is False

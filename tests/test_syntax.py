@@ -30,7 +30,6 @@ from glkit.syntax import (
     closure_steps,
     node_count,
     parse,
-    print_closure,
     print_formula,
     signed_subformulas,
     subformulas,
@@ -101,6 +100,19 @@ class TestParse:
         assert f == p
 
 
+# Texts whose parentheses follow from associativity or binding level.
+PINNED = [
+    "p --> q --> r",
+    "(p --> q) --> r",
+    "p && q && r || p && (q || r)",
+    "(p || q) && r && (p && q || r)",
+    "Not (p && q)",
+    "Box Not Box p",
+    "(p <-> q) <-> r",
+    "p <-> q <-> r",
+]
+
+
 class TestPrint:
     def test_constants(self):
         assert print_formula(TRUE) == "True"
@@ -120,40 +132,16 @@ class TestPrint:
         assert print_formula(Imp(Imp(p, q), r)) == "(p --> q) --> r"
         assert print_formula(Not(Or(p, q))) == "Not (p || q)"
 
-    @given(formulas())
-    def test_round_trip(self, f):
-        assert parse(print_formula(f)) == f
-
-
-# Texts whose parentheses follow from associativity or binding level.
-PINNED = [
-    "p --> q --> r",
-    "(p --> q) --> r",
-    "p && q && r || p && (q || r)",
-    "(p || q) && r && (p && q || r)",
-    "Not (p && q)",
-    "Box Not Box p",
-    "(p <-> q) <-> r",
-    "p <-> q <-> r",
-]
-
-
-class TestPrintClosure:
     @pytest.mark.parametrize("text", PINNED)
     def test_pinned(self, text):
         f = parse(text)
-        printed = print_closure(signed_subformulas(f))
-        assert printed[f] == text
+        assert print_formula(f) == text
         negated = f"Not {text}" if isinstance(f, (Not, Box)) else f"Not ({text})"
-        assert printed[Not(f)] == negated
-        assert printed == {g: print_formula(g) for g in signed_subformulas(f)}
+        assert print_formula(Not(f)) == negated
 
     @given(formulas())
-    def test_agrees_with_print_formula(self, f):
-        signed = signed_subformulas(f)
-        printed = print_closure(signed)
-        assert list(printed) == list(signed)
-        assert all(printed[g] == print_formula(g) for g in signed)
+    def test_round_trip(self, f):
+        assert parse(print_formula(f)) == f
 
 
 class TestSignedSubformulas:
