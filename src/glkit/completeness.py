@@ -53,14 +53,14 @@ nothing from the engine.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import kripke
-from .kripke import Frame, Model, _cached_field
+from .kripke import Frame, Model, _bits, _cached_field
 from .limits import SizeGuardError
 from .syntax import (
     Atom,
@@ -135,14 +135,6 @@ class World:
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.member_set
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Engine:

@@ -1,6 +1,11 @@
 """Finite explicit Kripke models: forcing, frame predicates, validity oracles.
 
 Frames are plain (worlds, relation) pairs over small integer world ids.
+A frame's edges are the pairs of `rel` between declared worlds; other
+pairs are reported by `relation_well_typed` and ignored everywhere else.
+The evaluator, the frame predicates and the Lob test read one view of
+the edges: the declared worlds in sorted order, each with the bit mask
+of its successors. The writers and `relabel` list the edges themselves.
 Validity on a frame quantifies over every valuation of the formula's
 atoms, so it is an exhaustive oracle and deliberately desk-scale only.
 Well-foundedness of the converse relation, undecidable in general, is
@@ -106,18 +111,26 @@ class Frame:
 
     @_cached_field
     def _layout(self) -> _Layout:
-        # Pairs naming an undeclared world are not edges of the frame.
-        index = {w: i for i, w in enumerate(sorted(self.worlds))}
-        succ: list[list[int]] = [[] for _ in index]
-        for x, y in self.rel:
-            if x in index and y in index:
-                succ[index[x]].append(index[y])
-        succ_t = tuple(tuple(sorted(s)) for s in succ)
-        return _Layout(
-            {w: 1 << i for w, i in index.items()},
-            succ_t,
-            tuple((sum(1 << j for j in s), 1 << i) for i, s in enumerate(succ_t)),
-        )
+        bit = {w: 1 << i for i, w in enumerate(sorted(self.worlds))}
+        succ = dict.fromkeys(bit, 0)
+        for x, y in _edges(self):
+            succ[x] |= bit[y]
+        masks = tuple(succ.values())
+        return _Layout(bit, tuple(tuple(_bits(s)) for s in masks), tuple(zip(masks, bit.values())))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edges(fr: Frame) -> Iterator[tuple[int, int]]:
+    """The frame's edges: the pairs of fr.rel between declared worlds."""
+    ws = fr.worlds
+    return ((x, y) for x, y in fr.rel if x in ws and y in ws)
 
 
 class Model(NamedTuple):
@@ -286,47 +299,25 @@ def relation_well_typed(fr: Frame) -> bool:
 
 
 def irreflexive(fr: Frame) -> bool:
-    return all(x != y for x, y in fr.rel)
+    """No world is its own successor."""
+    return not any(s & b for s, b in fr._layout.box_masks)
 
 
 def transitive(fr: Frame) -> bool:
-    succ: dict[int, set[int]] = {}
-    for x, y in fr.rel:
-        succ.setdefault(x, set()).add(y)
-    return all(
-        z in succ.get(x, ())
-        for x, y in fr.rel
-        for z in succ.get(y, ())
-    )
+    """The successors of each world's successors are its successors."""
+    succ = [s for s, _ in fr._layout.box_masks]
+    return all(not succ[j] & ~s for s in succ for j in _bits(s))
 
 
 def acyclic(fr: Frame) -> bool:
-    """No directed cycle in the relation (iterative three-color DFS)."""
-    succ: dict[int, list[int]] = {}
-    nodes = set(fr.worlds)
-    for x, y in fr.rel:
-        succ.setdefault(x, []).append(y)
-        nodes.add(x)
-        nodes.add(y)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(nodes, WHITE)
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(start, iter(succ.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[node] = BLACK
-                stack.pop()
-            elif color[nxt] == GRAY:
-                return False
-            elif color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, iter(succ.get(nxt, ()))))
-    return True
+    """No world reaches itself: Warshall's closure over the successor
+    masks, sharing nothing with the Lob test's deletion."""
+    reach = [s for s, _ in fr._layout.box_masks]
+    for k, rk in enumerate(reach):
+        for i, ri in enumerate(reach):
+            if ri >> k & 1:
+                reach[i] = ri | rk
+    return not any(r & b for r, (_, b) in zip(reach, fr._layout.box_masks))
 
 
 def is_itf(fr: Frame) -> bool:
@@ -426,16 +417,14 @@ def itf_valid_small(f: Formula, n: int) -> bool:
 
 
 def model_to_json(m: Model, names: Mapping[int, str] | None = None) -> dict:
+    """The document `model_from_json` reads, naming declared worlds only."""
     ws = sorted(m.frame.worlds)
     name = {w: (names[w] if names else f"w{w}") for w in ws}
+    val = {a: [name[w] for w in sorted(s) if w in name] for a, s in sorted(m.val.items())}
     return {
         "worlds": [name[w] for w in ws],
-        "rel": sorted([name[x], name[y]] for x, y in m.frame.rel),
-        "val": {
-            a: [name[w] for w in sorted(s)]
-            for a, s in sorted(m.val.items())
-            if s
-        },
+        "rel": sorted([name[x], name[y]] for x, y in _edges(m.frame)),
+        "val": {a: v for a, v in val.items() if v},
     }
 
 
@@ -490,7 +479,7 @@ def frame_to_dot(fr: Frame, names: Mapping[int, str] | None = None) -> str:
     lines = ["digraph frame {"]
     for w in sorted(fr.worlds):
         lines.append(f'  "{name[w]}";')
-    for x, y in sorted(fr.rel):
+    for x, y in sorted(_edges(fr)):
         lines.append(f'  "{name[x]}" -> "{name[y]}";')
     lines.append("}")
     return "\n".join(lines)
@@ -503,7 +492,7 @@ def model_to_dot(m: Model, names: Mapping[int, str] | None = None) -> str:
         true_atoms = sorted(a for a, s in m.val.items() if w in s)
         label = name[w] + (": " + " ".join(true_atoms) if true_atoms else "")
         lines.append(f'  "{name[w]}" [label="{label}"];')
-    for x, y in sorted(m.frame.rel):
+    for x, y in sorted(_edges(m.frame)):
         lines.append(f'  "{name[x]}" -> "{name[y]}";')
     lines.append("}")
     return "\n".join(lines)
@@ -518,11 +507,7 @@ def relabel(m: Model, mapping: Mapping[int, int]) -> Model:
         raise ValueError("relabeling must be injective and total on the worlds")
     fr = Frame(
         frozenset(mapping[w] for w in m.frame.worlds),
-        frozenset(
-            (mapping[x], mapping[y])
-            for x, y in m.frame.rel
-            if x in mapping and y in mapping
-        ),
+        frozenset((mapping[x], mapping[y]) for x, y in _edges(m.frame)),
     )
     return Model(
         fr, {a: frozenset(mapping[w] for w in s if w in mapping) for a, s in m.val.items()}

@@ -10,13 +10,14 @@ writer that the single-pass one is checked against, random
 irreflexive transitive models, the semantic oracle for theorem
 verdicts, the sweep over every labelled ITF frame that the rooted-frame
 oracle is checked against, and the `extensions`-based certificate
-check that the mask-based one is checked against."""
+check that the mask-based one is checked against, and the edge-scan
+frame predicates that the mask-based ones are checked against."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -306,3 +307,48 @@ def reference_verify_certificate(v: Countermodel) -> bool:
     except ValueError:
         return False
     return widx not in truth[-1]
+
+
+def restricted(fr: Frame) -> Frame:
+    """fr without the relation pairs that name an undeclared world."""
+    return Frame(fr.worlds, frozenset(e for e in fr.rel if set(e) <= fr.worlds))
+
+
+def reference_irreflexive(fr: Frame) -> bool:
+    return all(x != y for x, y in fr.rel)
+
+
+def reference_transitive(fr: Frame) -> bool:
+    succ: dict[int, set[int]] = {}
+    for x, y in fr.rel:
+        succ.setdefault(x, set()).add(y)
+    return all(z in succ.get(x, ()) for x, y in fr.rel for z in succ.get(y, ()))
+
+
+def reference_acyclic(fr: Frame) -> bool:
+    """No directed cycle in the relation (iterative three-colour DFS)."""
+    succ: dict[int, list[int]] = {}
+    nodes = set(fr.worlds)
+    for x, y in fr.rel:
+        succ.setdefault(x, []).append(y)
+        nodes.add(x)
+        nodes.add(y)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(nodes, WHITE)
+    for start in nodes:
+        if color[start] != WHITE:
+            continue
+        stack: list[tuple[int, Iterator[int]]] = [(start, iter(succ.get(start, ())))]
+        color[start] = GRAY
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                color[node] = BLACK
+                stack.pop()
+            elif color[nxt] == GRAY:
+                return False
+            elif color[nxt] == WHITE:
+                color[nxt] = GRAY
+                stack.append((nxt, iter(succ.get(nxt, ()))))
+    return True

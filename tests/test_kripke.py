@@ -21,12 +21,14 @@ from glkit.kripke import (
     frame_to_dot,
     holds,
     holds_in,
+    irreflexive,
     is_itf,
     itf_valid_small,
     model_from_json,
     model_to_dot,
     model_to_json,
     relabel,
+    relation_well_typed,
     transitive,
     valid_on_frame,
 )
@@ -36,10 +38,14 @@ from helpers import (
     formulas,
     random_formula,
     random_model,
+    reference_acyclic,
     reference_holds,
+    reference_irreflexive,
     reference_itf_frames,
     reference_itf_valid_small,
+    reference_transitive,
     reference_valid_on_frame,
+    restricted,
 )
 
 p = Atom("p")
@@ -479,3 +485,61 @@ def test_relabel():
     assert m2.val["p"] == frozenset({3})
     with pytest.raises(ValueError):
         relabel(m, {0: 5, 1: 5})
+
+
+class TestOneView:
+    """Every frame predicate but relation_well_typed reads the successor
+    masks, so a pair naming an undeclared world is no edge anywhere."""
+
+    @given(scattered_frames())
+    def test_lob_is_transitive_and_acyclic_on_scattered_frames(self, frame_ids):
+        fr, _ = frame_ids
+        assert (
+            frame_report(fr).validates_lob
+            == (transitive(fr) and acyclic(fr))
+            == valid_on_frame(fr, LOB_INSTANCE)
+        )
+
+    def test_predicates_match_the_edge_scans_on_declared_edges(self):
+        # Worlds are drawn from 0..9, and relation pairs name any of them.
+        rng = random.Random(18)
+        for _ in range(1000):
+            worlds = frozenset(rng.sample(range(10), rng.randint(4, 8)))
+            density = rng.random()
+            rel = frozenset(
+                (x, y) for x in range(10) for y in range(10) if rng.random() < density / 2
+            )
+            fr = Frame(worlds, rel)
+            ref = restricted(fr)
+            assert irreflexive(fr) == reference_irreflexive(ref), fr
+            assert transitive(fr) == reference_transitive(ref), fr
+            assert acyclic(fr) == reference_acyclic(ref), fr
+            assert is_itf(fr) == (
+                relation_well_typed(fr) and reference_irreflexive(fr) and reference_transitive(fr)
+            ), fr
+
+    @pytest.mark.parametrize(
+        "worlds, rel", [({0}, {(0, 5), (5, 0)}), ({0, 1}, {(0, 1), (1, 7)})]
+    )
+    def test_undeclared_worlds_make_no_edges(self, worlds, rel):
+        fr = Frame(frozenset(worlds), frozenset(rel))
+        rep = frame_report(fr)
+        assert rep.transitive and rep.acyclic and rep.validates_lob
+        assert not rep.relation_well_typed
+        assert not is_itf(fr)
+
+    def test_writers_leave_out_undeclared_worlds(self):
+        m = model({3, 5, 8}, {(3, 5), (5, 9), (9, 8), (3, 3)}, {"p": {5, 9}, "q": {9}})
+        doc = model_to_json(m)
+        assert doc == {
+            "worlds": ["w3", "w5", "w8"],
+            "rel": [["w3", "w3"], ["w3", "w5"]],
+            "val": {"p": ["w5"]},
+        }
+        m2, names = model_from_json(doc)
+        assert m2.frame == relabel(m, {3: 0, 5: 1, 8: 2}).frame
+        assert m2.val == {"p": frozenset({1})}
+        assert model_to_json(m2, dict(enumerate(names))) == doc
+        for dot in (frame_to_dot(m.frame), model_to_dot(m)):
+            assert "w9" not in dot
+            assert dot.count("->") == 2
