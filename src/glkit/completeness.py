@@ -6,6 +6,8 @@ contains exactly one of q / Not q, and membership respects the classical
 truth tables (a Hintikka set). Worlds therefore correspond one-to-one to
 truth assignments b of the decision formulas (the atoms and boxed
 subformulas in the closure), and the search handles a world as b alone.
+From the verdict on, a world is its closure mask, whose bit i is set iff
+closure member i holds; its members are derived only when read.
 
 Truth table: one run of the target's closure program
 (`syntax.closure_steps`) through the `kripke` evaluator, with each atom
@@ -29,25 +31,26 @@ saturated successors under the standard relation, which is transitive,
 with the membership valuation. Generated submodels preserve truth.
 `verify_certificate` re-checks a certificate from first principles
 (frame shape, membership/truth agreement, falsification) by evaluating
-the closure once on the certificate's own relation.
+the closure once on the certificate's own relation and comparing each
+world's mask with the truth there.
 
 Records: each target's analysis is one record, kept in the module's
 one cache, an `lru_cache` of the 16 most recently used targets keyed by
-the interned formula. A record holds the closure context, each signed
-member's (closure index, polarity) from the merge that orders the
-signed closure, and, built on first use, the engine (truth table and
-saturated set). `closure_context`, `decide`, `hintikka_worlds`,
-`saturate` and both serializers read the target's record, so a target
-decided, written and reloaded in one process is analysed once.
+the interned formula. A record holds the closure, the decisions, each
+signed member's (closure index, polarity) from the merge that orders
+the signed closure, and, built on first use, the closure context (the
+signed closure's Not nodes) and the engine (truth table and saturated
+set). `closure_context`, `decide`, `hintikka_worlds`, `saturate` and
+both serializers read the target's record, so a target decided, written
+and reloaded in one process is analysed once.
 
 Serialization: a certificate is a model document plus the target as
 text, its closure as shared terms written from `syntax.closure_steps`,
-the witness, and each world as a truth mask over closure positions. The
-record's (closure index, polarity) pairs turn a mask into members, for
-the writer, which checks that each world comes back exactly, and for
-the loader, which parses the target only. In a fresh process the loader
-builds the context but no engine, and `verify_certificate` reads
-nothing from the engine.
+the witness, and each world's mask in hex. The writer prints the masks
+the worlds hold; a world built from a member list gets one, and it must
+give the world back exactly. The loader parses the target only and
+builds mask worlds. A theorem verdict and a certificate's round trip
+build no context, and in a fresh process no engine either.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .syntax import (
     conjlist,
     parse,
     print_formula,
+    signed_subformulas,
     subformulas,
 )
 
@@ -108,7 +112,11 @@ def closure_context(target: Formula) -> ClosureContext:
 
 class World:
     """Canonically ordered members drawn from a signed closure. Immutable;
-    equal members make equal worlds."""
+    equal members make equal worlds. One that `decide` or the loader
+    builds keeps its target's record and closure mask instead, and
+    derives `members` on first read; two of one record compare by mask."""
+
+    _record = _mask = None
 
     def __init__(self, members: tuple[Formula, ...]):
         _set(self, "members", members)
@@ -116,6 +124,8 @@ class World:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self._record is not None and self._record is other._record:
+            return self._mask == other._mask
         return self.members == other.members
 
     def __hash__(self):
@@ -130,6 +140,12 @@ class World:
     __delattr__ = __setattr__
 
     @_cached_field
+    def members(self) -> tuple[Formula, ...]:
+        rec, mask = self._record, self._mask
+        keep = [(mask >> i & 1) == positive for i, positive in rec.pairs]
+        return tuple(compress(rec.context.signed_closure, keep))
+
+    @_cached_field
     def member_set(self) -> frozenset[Formula]:
         return frozenset(self.members)
 
@@ -138,17 +154,17 @@ class World:
 
 
 class _Engine:
-    """Truth table and saturated set of one closure context.
+    """Truth table and saturated set of one target's record.
 
     A world is its decision assignment b: bit b of `truth[i]` is the
-    truth of ctx.closure[i] under b, and bit b of `saturated` says
-    whether that world is saturated. `pairs[j]` is the closure index and
-    polarity of ctx.signed_closure[j], so that member is in world b iff
-    bit b of its closure formula's truth equals its polarity.
+    truth of closure member i under b, and bit b of `saturated` says
+    whether that world is saturated. `record.pairs[j]` is the closure
+    index and polarity of signed member j, so that member is in world b
+    iff bit b of its closure formula's truth equals its polarity.
     """
 
-    def __init__(self, ctx: ClosureContext, pairs: tuple[tuple[int, bool], ...]):
-        k = len(ctx.decisions)
+    def __init__(self, rec: _Record):
+        k = len(rec.decisions)
         if k > MAX_DECISION_BITS:
             raise SizeGuardError(
                 f"{k} decision formulas exceed the "
@@ -157,22 +173,21 @@ class _Engine:
         self.full = full = (1 << (1 << k)) - 1
         # Bit b of cells[i] is bit i of b. Atoms and boxes are free, so each
         # atom and Box step takes its decision's pattern; the program visits
-        # Box steps in closure order, the order of ctx.decisions.
+        # Box steps in closure order, the order of rec.decisions.
         cells = kripke._cell_patterns(k)
-        atom_cell = {d.name: c for d, c in zip(ctx.decisions, cells) if isinstance(d, Atom)}
-        box_cells = iter([c for d, c in zip(ctx.decisions, cells) if isinstance(d, Box)])
-        steps = closure_steps(ctx.target)
+        atom_cell = {d.name: c for d, c in zip(rec.decisions, cells) if isinstance(d, Atom)}
+        box_cells = iter([c for d, c in zip(rec.decisions, cells) if isinstance(d, Box)])
+        steps = closure_steps(rec.target)
         self.truth = truth = kripke._run(steps, atom_cell, full, lambda _: next(box_cells))
-        self.members = ctx.signed_closure
-        self.pairs = pairs
+        self.record = rec
         # Per box: its decision dimension, then the worlds holding Box q,
         # those holding Box q and q (where a box of the current world
         # carries on), and those holding Box q and Not q (where an
-        # obligation Not (Box q) is met). The steps follow ctx.closure, and
+        # obligation Not (Box q) is met). The steps follow rec.closure, and
         # a Box step's first operand is the closure index of its body.
         self.boxes = []
         dim = 0
-        for i, q in enumerate(ctx.closure):
+        for i, q in enumerate(rec.closure):
             if isinstance(q, Box):
                 has, arg = truth[i], truth[steps[i][1]]
                 self.boxes.append((dim, has, has & arg, has & ~arg))
@@ -216,7 +231,7 @@ class _Engine:
         goes through the signed closure in canonical order and keeps the
         candidates holding each formula whenever some do."""
         full, truth = self.full, self.truth
-        for i, positive in self.pairs:
+        for i, positive in self.record.pairs:
             narrowed = candidates & (truth[i] if positive else full ^ truth[i])
             if narrowed:
                 candidates = narrowed
@@ -228,35 +243,45 @@ class _Engine:
         canonical order."""
         truth = self.truth
         return tuple(
-            j for j, (i, positive) in enumerate(self.pairs)
+            j for j, (i, positive) in enumerate(self.record.pairs)
             if (truth[i] >> b & 1) == positive
         )
 
-    def world(self, positions: tuple[int, ...]) -> World:
-        """The world whose members sit at these signed-closure positions."""
-        members = self.members
-        return World(tuple(members[j] for j in positions))
+    def world(self, b: int) -> World:
+        """World b as its closure mask."""
+        return self.record.world(sum((t >> b & 1) << i for i, t in enumerate(self.truth)))
 
 
 class _Record:
-    """Everything kept for one target: its closure context, each signed
-    member's (closure index, polarity) from the merge that orders the
-    signed closure, and the engine, built on first use."""
-
-    __slots__ = ("context", "pairs", "_engine")
+    """Everything kept for one target: its closure and decision formulas,
+    each signed member's (closure index, polarity) from the merge that
+    orders the signed closure, and, built on first use, the closure
+    context (whose signed closure holds the Not nodes) and the engine."""
 
     def __init__(self, target: Formula):
-        closure = subformulas(target)
-        signed, self.pairs = _signed(target)
-        decisions = tuple(q for q in closure if isinstance(q, (Atom, Box)))
-        self.context = ClosureContext(target, closure, signed, decisions)
+        self.target = target
+        self.closure = subformulas(target)
+        self.decisions = tuple(q for q in self.closure if isinstance(q, (Atom, Box)))
+        self.pairs = _signed(target)
         self._engine = None
+
+    @_cached_field
+    def context(self) -> ClosureContext:
+        signed = signed_subformulas(self.target)
+        return ClosureContext(self.target, self.closure, signed, self.decisions)
 
     def engine(self) -> _Engine:
         eng = self._engine
         if eng is None:
-            eng = self._engine = _Engine(self.context, self.pairs)
+            eng = self._engine = _Engine(self)
         return eng
+
+    def world(self, mask: int) -> World:
+        """The world holding closure formula i iff bit i of mask is set."""
+        w = World.__new__(World)
+        _set(w, "_record", self)
+        _set(w, "_mask", mask)
+        return w
 
 
 @lru_cache(maxsize=16)
@@ -277,7 +302,7 @@ def _engine(ctx: ClosureContext) -> _Engine:
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
     """Every world over the signed closure, in canonical order."""
     eng = _engine(ctx)
-    return tuple(map(eng.world, sorted(map(eng.positions, range(1 << len(ctx.decisions))))))
+    return tuple(map(eng.world, sorted(range(1 << len(ctx.decisions)), key=eng.positions)))
 
 
 def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
@@ -296,7 +321,7 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
     witness that is itself saturated."""
     eng = _engine(ctx)
     b = sum(1 << i for i, d in enumerate(ctx.decisions) if d in w)
-    if eng.world(eng.positions(b)) != w:
+    if eng.world(b) != w:
         raise ValueError("not a world of this context")
     return bool(eng.saturated >> b & 1)
 
@@ -307,12 +332,12 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
 
 class StandardModel:
     """Countermodel carrier: saturated worlds, the standard relation as
-    index pairs into `worlds`, membership valuation left implicit.
-    `context` is closure_context(target): `decide` and
-    `certificate_from_json` pass in the target's record's, and it is
-    looked up here when left out. Immutable; equality, hash and repr
-    leave `context` out, since the target determines it, and the model
-    that `to_model` builds once and keeps."""
+    index pairs into `worlds`, membership valuation left implicit. It
+    keeps its target's record, found when it is built, and one closure
+    mask per world. `context` is closure_context(target): the one passed
+    in, or else the record's, read on first use. Immutable; equality,
+    hash and repr leave `context` out, since the target determines it,
+    and the model that `to_model` builds once and keeps."""
 
     def __init__(
         self,
@@ -321,14 +346,14 @@ class StandardModel:
         rel: tuple[tuple[int, int], ...],
         context: ClosureContext | None = None,
     ):
-        if context is None:
-            context = closure_context(target)
-        elif context.target != target:
-            raise ValueError("the closure context belongs to another target")
         _set(self, "target", target)
         _set(self, "worlds", worlds)
         _set(self, "rel", rel)
-        _set(self, "context", context)
+        if context is not None:
+            if context.target != target:
+                raise ValueError("the closure context belongs to another target")
+            _set(self, "context", context)
+        _set(self, "_record", _record(target))
         _set(self, "_model", None)
 
     def __eq__(self, other):
@@ -347,23 +372,46 @@ class StandardModel:
 
     __delattr__ = __setattr__
 
+    @_cached_field
+    def context(self) -> ClosureContext:
+        return self._record.context
+
+    @_cached_field
+    def _masks(self) -> tuple[int, ...]:
+        """Per world, bit i set iff closure formula i is a member. A world
+        of the model's record is its mask; only member lists are scanned."""
+        rec = self._record
+        return tuple(
+            w._mask if w._record is rec
+            else sum(1 << i for i, q in enumerate(rec.closure) if q in w)
+            for w in self.worlds
+        )
+
+    def _inexact(self) -> int | None:
+        """The index of the first world that its mask does not give back,
+        if any: one built from members that are not one signed member per
+        closure formula in canonical order."""
+        rec = self._record
+        for i, (w, x) in enumerate(zip(self.worlds, self._masks)):
+            if w._record is not rec and rec.world(x).members != w.members:
+                return i
+        return None
+
     def to_model(self) -> Model:
         """The Kripke model: world i is worlds[i], and an atom holds where
         it is a member. Built on the first call and kept, so its
         valuation is a read-only mapping."""
         m = self._model
-        if m is None:
-            # One scan over the members; an atom outside the closure is
-            # no atom of the model.
-            cells = {g.name: [] for g in self.context.closure if type(g) is Atom}
-            for i, w in enumerate(self.worlds):
-                for g in w.members:
-                    if type(g) is Atom and g.name in cells:
-                        cells[g.name].append(i)
-            val = {a: frozenset(cells[a]) for a in sorted(cells)}
-            frame = Frame(frozenset(range(len(self.worlds))), frozenset(self.rel))
-            m = Model(frame, MappingProxyType(val))
-            _set(self, "_model", m)
+        return m or self._model_on(Frame(frozenset(range(len(self.worlds))), frozenset(self.rel)))
+
+    def _model_on(self, frame: Frame) -> Model:
+        """Keep the model on frame, which must be that of `rel`, with each
+        closure atom true where its mask bit is set."""
+        masks = self._masks
+        atoms = sorted((g.name, j) for j, g in enumerate(self._record.closure) if type(g) is Atom)
+        val = {a: frozenset(i for i, x in enumerate(masks) if x >> j & 1) for a, j in atoms}
+        m = Model(frame, MappingProxyType(val))
+        _set(self, "_model", m)
         return m
 
 
@@ -397,9 +445,7 @@ def decide(f: Formula) -> Verdict:
         return Theorem(f)
     w = eng.first(refuting)
     emitted = eng.successors(w) | 1 << w
-    positions = {b: eng.positions(b) for b in _bits(emitted)}
-    order = sorted(positions, key=positions.__getitem__)
-    worlds = {b: eng.world(positions[b]) for b in order}
+    order = sorted(_bits(emitted), key=eng.positions)
     index = {b: i for i, b in enumerate(order)}
     rel = tuple(
         sorted(
@@ -408,8 +454,8 @@ def decide(f: Formula) -> Verdict:
             for y in _bits(eng.successors(x) & emitted)
         )
     )
-    model = StandardModel(f, tuple(worlds[b] for b in order), rel, rec.context)
-    return Countermodel(model, worlds[w])
+    worlds = tuple(map(eng.world, order))
+    return Countermodel(StandardModel(f, worlds, rel), worlds[index[w]])
 
 
 def verify_certificate(v: Countermodel) -> bool:
@@ -420,26 +466,18 @@ def verify_certificate(v: Countermodel) -> bool:
 
     The closure is evaluated once on the certificate's own model:
     `kripke._model_masks` gives each closure formula's truth as a mask
-    whose bit i is world i, and every member test reads a bit of those
+    whose bit i is world i. A world whose mask gives it back holds
+    exactly the true formulas iff its mask equals its column of those
     masks."""
     if not isinstance(v, Countermodel):
         raise TypeError("only countermodel verdicts carry a certificate")
     sm = v.model
-    ctx = sm.context
     m = sm.to_model()
-    if not kripke.is_itf(m.frame):
+    if not kripke.is_itf(m.frame) or sm._inexact() is not None:
         return False
-    # World i of the model is sm.worlds[i]; the masks follow ctx.closure.
-    # A signed member outside the closure negates a closure formula, so it
-    # holds where that formula's mask has a 0.
-    truth = kripke._model_masks(m, ctx.target)
-    pos = {q: j for j, q in enumerate(ctx.closure)}
-    signed = [
-        (s, truth[pos[s]], True) if s in pos else (s, truth[pos[s.arg]], False)
-        for s in ctx.signed_closure
-    ]
-    for i, w in enumerate(sm.worlds):
-        if w.members != tuple(s for s, x, positive in signed if (x >> i & 1) == positive):
+    truth = kripke._model_masks(m, sm.target)
+    for i, x in enumerate(sm._masks):
+        if x != sum((t >> i & 1) << j for j, t in enumerate(truth)):
             return False
     try:
         widx = sm.worlds.index(v.witness)
@@ -500,29 +538,19 @@ def _closure_terms(f: Formula) -> list:
     ]
 
 
-def _members(rec: _Record, mask: int) -> tuple[Formula, ...]:
-    """The members of the world holding closure formula i iff bit i of mask is set."""
-    keep = [(mask >> i & 1) == positive for i, positive in rec.pairs]
-    return tuple(compress(rec.context.signed_closure, keep))
-
-
 def certificate_to_json(v: Countermodel) -> dict:
     """A model document plus `target`, `closure` (as shared terms), `witness`
     and `world_truth`: per world, a hex mask whose bit i is set iff closure
     formula i is a member. A world its mask does not give back raises ValueError."""
     sm = v.model
-    rec = _record(sm.target)
     doc = kripke.model_to_json(sm.to_model())
     doc["target"] = print_formula(sm.target)
     doc["closure"] = _closure_terms(sm.target)
     doc["witness"] = f"w{sm.worlds.index(v.witness)}"
-    truth = doc["world_truth"] = {}
-    for i, w in enumerate(sm.worlds):
-        ms = w.member_set
-        mask = sum(1 << j for j, q in enumerate(rec.context.closure) if q in ms)
-        if _members(rec, mask) != w.members:
-            raise ValueError(f"world w{i} is not one signed member per closure formula")
-        truth[f"w{i}"] = f"{mask:x}"
+    i = sm._inexact()
+    if i is not None:
+        raise ValueError(f"world w{i} is not one signed member per closure formula")
+    doc["world_truth"] = {f"w{i}": f"{x:x}" for i, x in enumerate(sm._masks)}
     return doc
 
 
@@ -549,17 +577,17 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
     rec, n, worlds = _record(f), len(closure), []
     for nm in names:
         s = truth.get(nm)
-        if not (type(s) is str and _MASK.fullmatch(s)) or int(s, 16) >> n:
+        if not (type(s) is str and _MASK.fullmatch(s)) or (x := int(s, 16)) >> n:
             raise ValueError(
                 f"certificate field 'world_truth': world {nm!r} needs a lowercase hex "
                 f"mask with no prefix, below 2**{n}; got {s!r:.40}"
             )
-        worlds.append(World(_members(rec, int(s, 16))))
+        worlds.append(rec.world(x))
     if len(truth) > len(names):
         extra = next(nm for nm in truth if nm not in names)
         raise ValueError(f"certificate field 'world_truth': undeclared world {extra!r}")
-    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)), rec.context)
-    derived = sm.to_model().val
+    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)))
+    derived = sm._model_on(m.frame).val
     for a in sorted(set(m.val) | set(derived)):
         if m.val.get(a, frozenset()) != derived.get(a, frozenset()):
             raise ValueError(

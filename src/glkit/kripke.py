@@ -334,17 +334,22 @@ def _validates_lob(fr: Frame) -> bool:
     """valid_on_frame(fr, LOB_INSTANCE) without a sweep: it fails at w iff
     some S (where p is false) meets R(w) and each world of S in R(w) has a
     successor in S. Deleting from all worlds each world of R(w) with no
-    successor left, until none is, leaves the greatest such S."""
-    succ = [s for s, _ in fr._layout.box_masks]
-    for r in succ:
-        alive, deleted = -1, True
-        while deleted:
-            deleted, todo = False, alive & r
-            while todo:  # highest first: a chain listed in order goes in one pass
-                v = todo.bit_length() - 1
-                todo ^= 1 << v
-                if not succ[v] & alive:
-                    alive, deleted = alive ^ 1 << v, True
+    successor left, until none is, leaves the greatest such S. A world
+    goes only after all its successors, so none that reaches a cycle ever
+    goes; the others are peeled once, each after its successors, and one
+    pass per w in that order deletes them however the worlds are listed."""
+    masks = fr._layout.box_masks  # (successor mask, own bit) per world
+    order, peeled = [], 0
+    while layer := [(s, b) for s, b in masks if not b & peeled and s | peeled == peeled]:
+        order += layer
+        peeled |= sum(b for _, b in layer)
+    for r, _ in masks:
+        alive = -1
+        for s, b in order:
+            if r & b and not s & alive:
+                alive ^= b
+                if not alive & r:
+                    break
         if alive & r:
             return False
     return True

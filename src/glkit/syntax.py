@@ -349,48 +349,44 @@ def closure_steps(f: Formula) -> tuple[tuple, ...]:
     return _closure(f)[1]
 
 
-def _signed(f: Formula) -> tuple[tuple[Formula, ...], tuple[tuple[int, bool], ...]]:
-    """The subformulas of f and their negations, in canonical order, and
-    for each member its closure index i and polarity: the member is
-    subformulas(f)[i] when the polarity is True and its negation when it
-    is False.
+def _signed(f: Formula) -> tuple[tuple[int, bool], ...]:
+    """For each member of the signed closure of f, in canonical order,
+    its closure index i and polarity: the member is subformulas(f)[i]
+    when the polarity is True and its negation when it is False.
 
     The closure is already in canonical order, and so are the negations
     taken in closure order, since Not q ranks by q's rank. The result is
     a merge of these two sorted runs on (size, tag, rank of the argument
     for Not, own rank otherwise); a member Not q of the closure meets its
     twin from the negations there and is kept once, as a closure
-    member."""
+    member. No Not node is built."""
     closure = subformulas(f)
     not_tag = _TAG[Not]
     keys = [
         (g.size, not_tag, a) if cls is Not else (g.size, _TAG[cls], i)
         for i, (g, (cls, a, _)) in enumerate(zip(closure, closure_steps(f)))
     ]
-    merged: list[Formula] = []
     pairs: list[tuple[int, bool]] = []
     j, n = 0, len(closure)
     for i, q in enumerate(closure):
         negation = (q.size + 1, not_tag, i)
         while j < n and keys[j] < negation:
-            merged.append(closure[j])
             pairs.append((j, True))
             j += 1
         if j < n and keys[j] == negation:
-            merged.append(closure[j])
             pairs.append((j, True))
             j += 1
         else:
-            merged.append(Not(q))
             pairs.append((i, False))
     # Not f is larger than every member of the closure, so none is left.
-    return tuple(merged), tuple(pairs)
+    return tuple(pairs)
 
 
 def signed_subformulas(f: Formula) -> tuple[Formula, ...]:
     """The subformulas of f and their negations, in canonical order; a
     negation that is itself a subformula is listed once."""
-    return _signed(f)[0]
+    closure = subformulas(f)
+    return tuple(closure[i] if positive else Not(closure[i]) for i, positive in _signed(f))
 
 
 def canonical_order(fs: Iterable[Formula]) -> tuple[Formula, ...]:

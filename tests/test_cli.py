@@ -349,6 +349,31 @@ class TestFrameCheck:
             '"validates_lob": false, "itf": false}\n'
         )
 
+    def test_itf_read_off_the_report(self, tmp_path, capsys, monkeypatch):
+        # The same exit codes and output with kripke.is_itf unusable: the
+        # command reads its verdict from frame_report's fields.
+        docs = [
+            chain(5),
+            chain(5, True),
+            {"worlds": []},
+            {"worlds": ["u"], "rel": [["u", "u"]]},
+            {"worlds": ["u", "v", "x"], "rel": [["u", "v"], ["v", "x"]]},
+        ]
+        runs = []
+        for i, doc in enumerate(docs):
+            path = write_model(tmp_path, doc, f"m{i}.json")
+            itf = kripke.is_itf(kripke.model_from_json(doc)[0].frame)
+            for argv in (["frame-check", path], ["frame-check", path, "--json"]):
+                runs.append((argv, 0 if itf else 1, main(argv), capsys.readouterr().out))
+
+        def refuse(fr):
+            raise AssertionError("frame-check recomputed is_itf")
+
+        monkeypatch.setattr(kripke, "is_itf", refuse)
+        for argv, expected, code, out in runs:
+            assert code == expected
+            assert (main(argv), capsys.readouterr().out) == (code, out)
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -283,10 +283,58 @@ class TestLargeChains:
         assert reloaded.model.context == v.model.context
         assert verify_certificate(reloaded) is True
 
+    def test_k14_theorem_builds_no_context(self):
+        # The engine reads the record's closure, decisions and pairs only,
+        # so a theorem verdict makes no Not node of the signed closure.
+        f = _chain(14, True)
+        completeness._record.cache_clear()
+        assert isinstance(decide(f), Theorem)
+        assert "context" not in vars(completeness._record(f))
+
     def test_context_of_another_target_rejected(self):
         v = decide(_chain(6, False))
         with pytest.raises(ValueError):
             StandardModel(parse("p"), v.model.worlds, v.model.rel, v.model.context)
+
+
+class TestMaskWorlds:
+    """Worlds that decide and the loader build are their closure masks."""
+
+    @staticmethod
+    def refutable():
+        rng = random.Random(19)
+        targets = [_chain(k, False) for k in (6, 8, 10)]
+        while len(targets) < 60:
+            f = random_formula(rng, 5)
+            if len(closure_context(f).decisions) <= 10 and isinstance(decide(f), Countermodel):
+                targets.append(f)
+        return targets
+
+    def test_round_trip_derives_no_members(self):
+        for f in self.refutable():
+            completeness._record.cache_clear()
+            v = decide(f)
+            reloaded = certificate_from_json(json.loads(json.dumps(certificate_to_json(v))))
+            assert verify_certificate(reloaded) is True
+            for w in (*v.model.worlds, *reloaded.model.worlds):
+                assert "members" not in vars(w)
+            assert "context" not in vars(completeness._record(f))
+
+    def test_equal_to_the_world_of_its_members(self):
+        for f in self.refutable():
+            v = decide(f)
+            ws = v.model.worlds
+            for i, w in enumerate(ws):
+                twin = World(w.members)
+                assert w == twin and twin == w and not w != twin
+                assert hash(w) == hash(twin)
+                assert [twin == x for x in ws] == [j == i for j in range(len(ws))]
+
+    def test_worlds_of_one_record_compare_by_mask(self):
+        v = decide(parse(RICH))
+        reloaded = certificate_from_json(certificate_to_json(v))
+        assert reloaded.model.worlds == v.model.worlds
+        assert all("members" not in vars(w) for w in (*v.model.worlds, *reloaded.model.worlds))
 
 
 class TestDecide:
