@@ -6,8 +6,10 @@ contains exactly one of q / Not q, and membership respects the classical
 truth tables (a Hintikka set). Worlds therefore correspond one-to-one to
 truth assignments b of the decision formulas (the atoms and boxed
 subformulas in the closure), and the search handles a world as b alone.
-From the verdict on, a world is its closure mask, whose bit i is set iff
-closure member i holds; its members are derived only when read.
+From the verdict on, a world is its target and its closure mask, whose
+bit i is set iff closure member i holds; its members are derived only
+when read. `World(target, members)` refuses a member list that is not
+one signed member per closure formula in canonical order.
 
 Truth table: one run of the target's closure program
 (`syntax.closure_steps`) through the `kripke` evaluator, with each atom
@@ -47,9 +49,8 @@ and reloaded in one process is analysed once.
 Serialization: a certificate is a model document plus the target as
 text, its closure as shared terms written from `syntax.closure_steps`,
 the witness, and each world's mask in hex. The writer prints the masks
-the worlds hold; a world built from a member list gets one, and it must
-give the world back exactly. The loader parses the target only and
-builds mask worlds. A theorem verdict and a certificate's round trip
+the worlds hold. The loader parses the target only and builds mask
+worlds. A theorem verdict and a certificate's round trip
 build no context, and in a fresh process no engine either.
 """
 
@@ -111,28 +112,31 @@ def closure_context(target: Formula) -> ClosureContext:
 
 
 class World:
-    """Canonically ordered members drawn from a signed closure. Immutable;
-    equal members make equal worlds. One that `decide` or the loader
-    builds keeps its target's record and closure mask instead, and
-    derives `members` on first read; two of one record compare by mask."""
+    """A world of a target: its closure mask, whose bit i is set iff
+    closure formula i holds. It keeps the target's record and derives
+    `members` on first read. `World(target, members)` takes the members
+    in canonical order, one signed member per closure formula, and
+    raises ValueError for any other list. Immutable; two worlds are equal
+    iff they have the same target and the same mask."""
 
-    _record = _mask = None
-
-    def __init__(self, members: tuple[Formula, ...]):
-        _set(self, "members", members)
+    def __init__(self, target: Formula, members: Sequence[Formula]):
+        rec, members = _record(target), tuple(members)
+        held = frozenset(members)
+        _set(self, "_record", rec)
+        _set(self, "_mask", sum(1 << i for i, q in enumerate(rec.closure) if q in held))
+        if self.members != members:
+            raise ValueError("not one signed member per closure formula, in canonical order")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._record is not None and self._record is other._record:
-            return self._mask == other._mask
-        return self.members == other.members
+        return self._record.target is other._record.target and self._mask == other._mask
 
     def __hash__(self):
-        return hash(self.members)
+        return hash((self._record.target, self._mask))
 
     def __repr__(self):
-        return f"World(members={self.members!r})"
+        return f"World({self._record.target!r}, {self.members!r})"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"worlds are immutable: cannot set {name!r}")
@@ -247,9 +251,12 @@ class _Engine:
             if (truth[i] >> b & 1) == positive
         )
 
+    def mask(self, b: int) -> int:
+        """The closure mask of world b."""
+        return sum((t >> b & 1) << i for i, t in enumerate(self.truth))
+
     def world(self, b: int) -> World:
-        """World b as its closure mask."""
-        return self.record.world(sum((t >> b & 1) << i for i, t in enumerate(self.truth)))
+        return self.record.world(self.mask(b))
 
 
 class _Record:
@@ -320,9 +327,12 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
     """GL-satisfiability of a world: every negated box has a successor
     witness that is itself saturated."""
     eng = _engine(ctx)
-    b = sum(1 << i for i, d in enumerate(ctx.decisions) if d in w)
-    if eng.world(b) != w:
+    if w._record.target is not ctx.target:
         raise ValueError("not a world of this context")
+    dims = [i for i, q in enumerate(ctx.closure) if isinstance(q, (Atom, Box))]
+    b = sum((w._mask >> i & 1) << j for j, i in enumerate(dims))
+    if eng.mask(b) != w._mask:
+        raise ValueError("not a Hintikka world of this context")
     return bool(eng.saturated >> b & 1)
 
 
@@ -333,27 +343,20 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
 class StandardModel:
     """Countermodel carrier: saturated worlds, the standard relation as
     index pairs into `worlds`, membership valuation left implicit. It
-    keeps its target's record, found when it is built, and one closure
-    mask per world. `context` is closure_context(target): the one passed
-    in, or else the record's, read on first use. Immutable; equality,
-    hash and repr leave `context` out, since the target determines it,
-    and the model that `to_model` builds once and keeps."""
+    keeps its target's record, found when it is built, and the closure
+    mask of each world, which must be a world of target (ValueError
+    otherwise). `context` is the record's closure context, read on first
+    use. Immutable; equality, hash and repr leave out `context` and the
+    model that `to_model` builds once and keeps."""
 
-    def __init__(
-        self,
-        target: Formula,
-        worlds: tuple[World, ...],
-        rel: tuple[tuple[int, int], ...],
-        context: ClosureContext | None = None,
-    ):
+    def __init__(self, target: Formula, worlds: tuple[World, ...], rel: tuple[tuple[int, int], ...]):
+        if any(w._record.target is not target for w in worlds):
+            raise ValueError("a world of another target")
         _set(self, "target", target)
         _set(self, "worlds", worlds)
         _set(self, "rel", rel)
-        if context is not None:
-            if context.target != target:
-                raise ValueError("the closure context belongs to another target")
-            _set(self, "context", context)
         _set(self, "_record", _record(target))
+        _set(self, "_masks", tuple(w._mask for w in worlds))
         _set(self, "_model", None)
 
     def __eq__(self, other):
@@ -375,27 +378,6 @@ class StandardModel:
     @_cached_field
     def context(self) -> ClosureContext:
         return self._record.context
-
-    @_cached_field
-    def _masks(self) -> tuple[int, ...]:
-        """Per world, bit i set iff closure formula i is a member. A world
-        of the model's record is its mask; only member lists are scanned."""
-        rec = self._record
-        return tuple(
-            w._mask if w._record is rec
-            else sum(1 << i for i, q in enumerate(rec.closure) if q in w)
-            for w in self.worlds
-        )
-
-    def _inexact(self) -> int | None:
-        """The index of the first world that its mask does not give back,
-        if any: one built from members that are not one signed member per
-        closure formula in canonical order."""
-        rec = self._record
-        for i, (w, x) in enumerate(zip(self.worlds, self._masks)):
-            if w._record is not rec and rec.world(x).members != w.members:
-                return i
-        return None
 
     def to_model(self) -> Model:
         """The Kripke model: world i is worlds[i], and an atom holds where
@@ -460,20 +442,19 @@ def decide(f: Formula) -> Verdict:
 
 def verify_certificate(v: Countermodel) -> bool:
     """Re-check a countermodel from first principles, in this order: the
-    frame is ITF; every world's members are exactly the signed-closure
-    formulas true at it, in canonical order; and the witness is one of
-    the worlds and falsifies the target (so it contains Not target).
+    frame is ITF; every world holds exactly the closure formulas true at
+    it; and the witness is one of the worlds and falsifies the target (so
+    it contains Not target).
 
     The closure is evaluated once on the certificate's own model:
     `kripke._model_masks` gives each closure formula's truth as a mask
-    whose bit i is world i. A world whose mask gives it back holds
-    exactly the true formulas iff its mask equals its column of those
-    masks."""
+    whose bit i is world i. A world holds exactly the true formulas iff
+    its closure mask equals its column of those masks."""
     if not isinstance(v, Countermodel):
         raise TypeError("only countermodel verdicts carry a certificate")
     sm = v.model
     m = sm.to_model()
-    if not kripke.is_itf(m.frame) or sm._inexact() is not None:
+    if not kripke.is_itf(m.frame):
         return False
     truth = kripke._model_masks(m, sm.target)
     for i, x in enumerate(sm._masks):
@@ -519,7 +500,7 @@ def extend_maximal_consistent(
         pick = q if consistent(cur + [q]) else Not(q)
         cur.append(pick)
         present.add(pick)
-    return World(canonical_order(cur))
+    return World(ctx.target, canonical_order(cur))
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +522,15 @@ def _closure_terms(f: Formula) -> list:
 def certificate_to_json(v: Countermodel) -> dict:
     """A model document plus `target`, `closure` (as shared terms), `witness`
     and `world_truth`: per world, a hex mask whose bit i is set iff closure
-    formula i is a member. A world its mask does not give back raises ValueError."""
+    formula i is a member. A witness outside the model raises ValueError."""
     sm = v.model
     doc = kripke.model_to_json(sm.to_model())
     doc["target"] = print_formula(sm.target)
     doc["closure"] = _closure_terms(sm.target)
-    doc["witness"] = f"w{sm.worlds.index(v.witness)}"
-    i = sm._inexact()
-    if i is not None:
-        raise ValueError(f"world w{i} is not one signed member per closure formula")
+    try:
+        doc["witness"] = f"w{sm.worlds.index(v.witness)}"
+    except ValueError:
+        raise ValueError("certificate witness is not a world of the model") from None
     doc["world_truth"] = {f"w{i}": f"{x:x}" for i, x in enumerate(sm._masks)}
     return doc
 

@@ -171,7 +171,7 @@ class TestSaturate:
     def test_foreign_world_rejected(self):
         ctx = closure_context(p)
         with pytest.raises(ValueError):
-            saturate(ctx, World((q,)))
+            saturate(ctx, World(q, (q,)))
 
     def test_foreign_context_rejected(self):
         # The engine belongs to the target's own context; a context that
@@ -293,8 +293,19 @@ class TestLargeChains:
 
     def test_context_of_another_target_rejected(self):
         v = decide(_chain(6, False))
-        with pytest.raises(ValueError):
-            StandardModel(parse("p"), v.model.worlds, v.model.rel, v.model.context)
+        with pytest.raises(ValueError, match="another target"):
+            StandardModel(parse("p"), v.model.worlds, v.model.rel)
+
+    def test_k14_hash_derives_no_members(self):
+        # A world hashes as its target and mask, so hashing a decided
+        # model derives no member list and builds no context.
+        f = _chain(14, False)
+        completeness._record.cache_clear()
+        v = decide(f)
+        hash(v.model)
+        assert len({*v.model.worlds}) == len(v.model.worlds)
+        assert all("members" not in vars(w) for w in v.model.worlds)
+        assert "context" not in vars(completeness._record(f))
 
 
 class TestMaskWorlds:
@@ -325,7 +336,7 @@ class TestMaskWorlds:
             v = decide(f)
             ws = v.model.worlds
             for i, w in enumerate(ws):
-                twin = World(w.members)
+                twin = World(f, w.members)
                 assert w == twin and twin == w and not w != twin
                 assert hash(w) == hash(twin)
                 assert [twin == x for x in ws] == [j == i for j in range(len(ws))]
@@ -429,7 +440,7 @@ class TestVerifyCertificate:
 
     def test_foreign_witness_rejected(self):
         v = decide(parse("Box p --> p"))
-        assert verify_certificate(Countermodel(v.model, World((p,)))) is False
+        assert verify_certificate(Countermodel(v.model, World(p, (p,)))) is False
 
     def test_dropped_edges_break_truth_lemma(self):
         # Every edge source carries a negated box, so stripping all of a
@@ -466,6 +477,19 @@ def stream_corpus() -> list:
     return [random_guarded_formula(rng, 5, ("p", "q", "r"), 4) for _ in range(200)]
 
 
+def member_list_mutants(v: Countermodel, rng: random.Random):
+    """(kind, i, members) triples: the member list of world i of v with
+    one member dropped, one added in canonical place, or one appended."""
+    sm, ctx = v.model, v.model.context
+    i = rng.randrange(len(sm.worlds))
+    members = sm.worlds[i].members
+    j = rng.randrange(len(members))
+    yield "member dropped", i, members[:j] + members[j + 1:]
+    extra = rng.choice([s for s in ctx.signed_closure if s not in sm.worlds[i]])
+    yield "member added", i, tuple(canonical_order([*members, extra]))
+    yield "member appended", i, members + (extra,)
+
+
 def certificate_mutants(v: Countermodel, rng: random.Random):
     """(kind, certificate) pairs, each v with one thing changed."""
     sm, ctx = v.model, v.model.context
@@ -474,19 +498,21 @@ def certificate_mutants(v: Countermodel, rng: random.Random):
     def swap(i, w):
         worlds = sm.worlds[:i] + (w,) + sm.worlds[i + 1:]
         witness = w if i == wi else v.witness
-        return Countermodel(StandardModel(sm.target, worlds, sm.rel, ctx), witness)
+        return Countermodel(StandardModel(sm.target, worlds, sm.rel), witness)
 
     def with_rel(rel):
-        sm2 = StandardModel(sm.target, sm.worlds, tuple(sorted(rel)), ctx)
-        return Countermodel(sm2, v.witness)
+        return Countermodel(StandardModel(sm.target, sm.worlds, tuple(sorted(rel))), v.witness)
 
     i = rng.randrange(len(sm.worlds))
-    members = sm.worlds[i].members
-    j = rng.randrange(len(members))
-    yield "member dropped", swap(i, World(members[:j] + members[j + 1:]))
-    extra = rng.choice([s for s in ctx.signed_closure if s not in sm.worlds[i]])
-    yield "member added", swap(i, World(tuple(canonical_order([*members, extra]))))
-    yield "member appended", swap(i, World(members + (extra,)))
+    compound = [q for q in ctx.closure if not isinstance(q, Atom)]
+    if compound:
+        # World i with the truth of one non-atom closure formula flipped:
+        # the valuation stays, so the formula's truth there does too.
+        truth = {q: q in sm.worlds[i] for q in ctx.closure}
+        q = rng.choice(compound)
+        truth[q] = not truth[q]
+        flipped = [s for s in ctx.signed_closure if (truth[s] if s in truth else not truth[s.arg])]
+        yield "member flipped", swap(i, World(sm.target, flipped))
     for w in sm.worlds:
         if w != v.witness:
             yield "witness moved", Countermodel(sm, w)
@@ -521,7 +547,7 @@ class TestVerifyAgainstReference:
                 got = verify_certificate(bad)
                 assert got is reference_verify_certificate(bad), (kind, bad)
                 seen[kind, got] = seen.get((kind, got), 0) + 1
-        for kind in ("member dropped", "member added", "member appended", "loop added"):
+        for kind in ("member flipped", "loop added"):
             assert seen.get((kind, False), 0) >= 100 and (kind, True) not in seen, kind
         assert seen.get(("transitive edge dropped", False), 0) >= 20
         assert ("transitive edge dropped", True) not in seen
@@ -530,21 +556,38 @@ class TestVerifyAgainstReference:
         assert seen.get(("witness moved", False), 0) >= 100
 
     def test_writer_refuses_or_keeps_every_mutant(self, certificates):
-        # A world its mask cannot give back is refused; any other mutant
-        # is written so that its reload verifies exactly when it does.
+        # Every mutant is written, and its reload verifies exactly when
+        # the mutant does.
+        rng = random.Random(12)
+        for v in certificates:
+            for kind, bad in certificate_mutants(v, rng):
+                doc = certificate_to_json(bad)
+                reloaded = certificate_from_json(json.loads(json.dumps(doc)))
+                assert verify_certificate(reloaded) is verify_certificate(bad), kind
+
+    def test_constructor_refuses_member_list_mutants(self, certificates):
+        # A member list that is not one signed member per closure formula,
+        # in canonical order, makes no world. A few mutants are such a list:
+        # they add or drop a closure formula q whose negation is itself a
+        # closure formula, so each bit still has a reading. The world they
+        # make is no Hintikka set, and both verifiers reject it.
         rng = random.Random(12)
         refused: dict[str, int] = {}
         for v in certificates:
-            for kind, bad in certificate_mutants(v, rng):
+            sm, wi = v.model, v.model.worlds.index(v.witness)
+            for kind, i, members in member_list_mutants(v, rng):
                 try:
-                    doc = certificate_to_json(bad)
-                except ValueError:
+                    w = World(sm.target, members)
+                except ValueError as e:
+                    assert "one signed member per closure formula" in str(e)
                     refused[kind] = refused.get(kind, 0) + 1
                     continue
-                reloaded = certificate_from_json(json.loads(json.dumps(doc)))
-                assert verify_certificate(reloaded) is verify_certificate(bad), kind
-        assert refused.get("member dropped", 0) >= 100
-        assert set(refused) <= {"member dropped", "member added", "member appended"}
+                assert w.members == members
+                worlds = sm.worlds[:i] + (w,) + sm.worlds[i + 1:]
+                bad = Countermodel(StandardModel(sm.target, worlds, sm.rel), worlds[wi])
+                assert verify_certificate(bad) is reference_verify_certificate(bad) is False
+        for kind in ("member dropped", "member added", "member appended"):
+            assert refused.get(kind, 0) >= 100, kind
 
 
 class TestTheoremOracle:
@@ -889,31 +932,28 @@ class TestCertificateJson:
         assert len(text) <= 32 * 1024
         assert verify_certificate(certificate_from_json(json.loads(text))) is True
 
-    def test_member_outside_the_closure_refused_by_the_writer(self):
-        # No mask names Box Box Box q, so writing this world would drop it.
-        v = decide(parse("Box p"))
-        sm = v.model
-        extra = World(sm.worlds[0].members + (parse("Box Box Box q"),))
-        bad = Countermodel(StandardModel(sm.target, (extra, *sm.worlds[1:]), sm.rel), v.witness)
-        assert verify_certificate(bad) is False
-        with pytest.raises(ValueError, match="world w0"):
-            certificate_to_json(bad)
+    def test_member_outside_the_closure_refused_by_the_constructor(self):
+        # No mask names Box Box Box q, so no world of Box p holds it.
+        sm = decide(parse("Box p")).model
+        with pytest.raises(ValueError, match="one signed member per closure formula"):
+            World(sm.target, sm.worlds[0].members + (parse("Box Box Box q"),))
 
-    def test_dropped_member_refused_by_the_writer(self):
-        # The "member dropped" mutant of `certificate_mutants`: its mask
-        # cannot say that a world holds neither q nor Not q, so writing it
-        # would give back a world that verifies.
+    def test_dropped_member_refused_by_the_constructor(self):
+        # The "member dropped" mutant of `member_list_mutants`: a mask
+        # cannot say that a world holds neither q nor Not q.
         v = decide(parse(RICH))
-        sm = v.model
-        i = sm.worlds.index(v.witness)
-        members = sm.worlds[i].members
+        members = v.witness.members
         for j in range(len(members)):
-            dropped = World(members[:j] + members[j + 1:])
-            worlds = sm.worlds[:i] + (dropped,) + sm.worlds[i + 1:]
-            bad = Countermodel(StandardModel(sm.target, worlds, sm.rel), dropped)
-            assert verify_certificate(bad) is False
-            with pytest.raises(ValueError, match="world w1"):
-                certificate_to_json(bad)
+            with pytest.raises(ValueError, match="one signed member per closure formula"):
+                World(v.model.target, members[:j] + members[j + 1:])
+
+    def test_foreign_witness_refused_by_the_writer(self):
+        v = decide(parse("Box p --> p"))
+        with pytest.raises(ValueError, match="witness is not a world of the model"):
+            certificate_to_json(Countermodel(v.model, World(p, (p,))))
+        other = decide(parse("Box p")).witness
+        with pytest.raises(ValueError, match="witness is not a world of the model"):
+            certificate_to_json(Countermodel(v.model, other))
 
 
 def test_decide_agrees_with_lemma_kernel():
