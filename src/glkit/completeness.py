@@ -36,22 +36,24 @@ with the membership valuation. Generated submodels preserve truth.
 the closure once on the certificate's own relation and comparing each
 world's mask with the truth there.
 
-Records: each target's analysis is one record, kept in the module's
-one cache, an `lru_cache` of the 16 most recently used targets keyed by
-the interned formula. A record holds the closure, the decisions, each
-signed member's (closure index, polarity) from the merge that orders
-the signed closure, and, built on first use, the closure context (the
-signed closure's Not nodes) and the engine (truth table and saturated
-set). `closure_context`, `decide`, `hintikka_worlds`, `saturate` and
-both serializers read the target's record, so a target decided, written
-and reloaded in one process is analysed once.
+Closure contexts: each target's analysis is one `ClosureContext`, built
+from the target alone. It holds the closure, the decisions and each
+signed member's (closure index, polarity) from the merge that orders the
+signed closure, and, built on first use, the signed closure's Not nodes
+and the engine (truth table and saturated set). `closure_context` is the
+module's one cache, an `lru_cache` of the contexts of the 16 most
+recently used targets keyed by the interned formula. `decide`, `World`,
+`StandardModel` and both serializers read the target's cached context,
+so a target decided, written and reloaded in one process is analysed
+once. `extend_maximal_consistent` reads the engine of the context it is
+given and adds no entry to the cache.
 
 Serialization: a certificate is a model document plus the target as
 text, its closure as shared terms written from `syntax.closure_steps`,
 the witness, and each world's mask in hex. The writer prints the masks
 the worlds hold. The loader parses the target only and builds mask
-worlds. A theorem verdict and a certificate's round trip
-build no context, and in a fresh process no engine either.
+worlds. A theorem verdict and a certificate's round trip build no
+signed closure, and in a fresh process no engine either.
 """
 
 from __future__ import annotations
@@ -73,12 +75,10 @@ from .syntax import (
     Not,
     _CONSTANT_NAMES,
     _signed,
-    canonical_order,
     closure_steps,
     conjlist,
     parse,
     print_formula,
-    signed_subformulas,
     subformulas,
 )
 
@@ -90,53 +90,95 @@ _MASK = re.compile("0|[1-9a-f][0-9a-f]*")
 _set = object.__setattr__
 
 
-class ClosureContext(NamedTuple):
-    """Subformula closure of a target plus its signed extension.
+class ClosureContext:
+    """The analysis of one target, built from the target alone: its
+    subformula closure, its decision formulas (the members whose truth
+    value is free: atoms and boxed formulas; all other members are
+    determined by them) and `pairs`, each signed member's closure index
+    and polarity from the merge that orders the signed closure. The
+    signed closure and the engine are built on first use. Immutable; two
+    contexts are equal iff they have the same target. A target that is
+    not a Formula raises TypeError."""
 
-    `decisions` are the closure members whose truth value is free (atoms
-    and boxed formulas); all other members are determined by them.
-    """
+    def __init__(self, target: Formula):
+        if not isinstance(target, Formula):
+            raise TypeError(f"target must be a Formula, not {type(target).__name__}")
+        closure = subformulas(target)
+        _set(self, "target", target)
+        _set(self, "closure", closure)
+        _set(self, "decisions", tuple(q for q in closure if isinstance(q, (Atom, Box))))
+        _set(self, "pairs", _signed(target))
 
-    target: Formula
-    closure: tuple[Formula, ...]
-    signed_closure: tuple[Formula, ...]
-    decisions: tuple[Formula, ...]
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.target is other.target
+
+    def __hash__(self):
+        return hash(self.target)
+
+    def __repr__(self):
+        return f"ClosureContext({self.target!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"closure contexts are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    @_cached_field
+    def signed_closure(self) -> tuple[Formula, ...]:
+        """The subformulas of the target and their negations, in canonical
+        order; a negation that is itself a subformula is listed once."""
+        closure = self.closure
+        return tuple(closure[i] if positive else Not(closure[i]) for i, positive in self.pairs)
+
+    @_cached_field
+    def engine(self) -> _Engine:
+        return _Engine(self)
+
+    def world(self, mask: int) -> World:
+        """The world holding closure formula i iff bit i of mask is set."""
+        w = World.__new__(World)
+        _set(w, "context", self)
+        _set(w, "_mask", mask)
+        return w
 
 
+@lru_cache(maxsize=16)
 def closure_context(target: Formula) -> ClosureContext:
-    """The subformula closure of target, its signed extension and its
-    decision formulas. This is the context kept in target's record, so a
+    """The closure context of target, from the module's one cache, so a
     target decided, written and reloaded in one process has its closure
-    worked out once while it stays among the 16 most recent targets."""
-    return _record(target).context
+    worked out once while it stays among the 16 most recent targets.
+    Formulas are interned, so the key hashes in constant time."""
+    return ClosureContext(target)
 
 
 class World:
     """A world of a target: its closure mask, whose bit i is set iff
-    closure formula i holds. It keeps the target's record and derives
-    `members` on first read. `World(target, members)` takes the members
-    in canonical order, one signed member per closure formula, and
-    raises ValueError for any other list. Immutable; two worlds are equal
-    iff they have the same target and the same mask."""
+    closure formula i holds. It keeps the target's closure context and
+    derives `members` on first read. `World(target, members)` takes the
+    members in canonical order, one signed member per closure formula,
+    and raises ValueError for any other list. Immutable; two worlds are
+    equal iff they have the same target and the same mask."""
 
     def __init__(self, target: Formula, members: Sequence[Formula]):
-        rec, members = _record(target), tuple(members)
+        ctx, members = closure_context(target), tuple(members)
         held = frozenset(members)
-        _set(self, "_record", rec)
-        _set(self, "_mask", sum(1 << i for i, q in enumerate(rec.closure) if q in held))
+        _set(self, "context", ctx)
+        _set(self, "_mask", sum(1 << i for i, q in enumerate(ctx.closure) if q in held))
         if self.members != members:
             raise ValueError("not one signed member per closure formula, in canonical order")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._record.target is other._record.target and self._mask == other._mask
+        return self.context.target is other.context.target and self._mask == other._mask
 
     def __hash__(self):
-        return hash((self._record.target, self._mask))
+        return hash((self.context.target, self._mask))
 
     def __repr__(self):
-        return f"World({self._record.target!r}, {self.members!r})"
+        return f"World({self.context.target!r}, {self.members!r})"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"worlds are immutable: cannot set {name!r}")
@@ -145,9 +187,9 @@ class World:
 
     @_cached_field
     def members(self) -> tuple[Formula, ...]:
-        rec, mask = self._record, self._mask
-        keep = [(mask >> i & 1) == positive for i, positive in rec.pairs]
-        return tuple(compress(rec.context.signed_closure, keep))
+        ctx, mask = self.context, self._mask
+        keep = [(mask >> i & 1) == positive for i, positive in ctx.pairs]
+        return tuple(compress(ctx.signed_closure, keep))
 
     @_cached_field
     def member_set(self) -> frozenset[Formula]:
@@ -158,17 +200,17 @@ class World:
 
 
 class _Engine:
-    """Truth table and saturated set of one target's record.
+    """Truth table and saturated set of one target's closure context.
 
     A world is its decision assignment b: bit b of `truth[i]` is the
     truth of closure member i under b, and bit b of `saturated` says
-    whether that world is saturated. `record.pairs[j]` is the closure
+    whether that world is saturated. `context.pairs[j]` is the closure
     index and polarity of signed member j, so that member is in world b
     iff bit b of its closure formula's truth equals its polarity.
     """
 
-    def __init__(self, rec: _Record):
-        k = len(rec.decisions)
+    def __init__(self, ctx: ClosureContext):
+        k = len(ctx.decisions)
         if k > MAX_DECISION_BITS:
             raise SizeGuardError(
                 f"{k} decision formulas exceed the "
@@ -177,21 +219,21 @@ class _Engine:
         self.full = full = (1 << (1 << k)) - 1
         # Bit b of cells[i] is bit i of b. Atoms and boxes are free, so each
         # atom and Box step takes its decision's pattern; the program visits
-        # Box steps in closure order, the order of rec.decisions.
+        # Box steps in closure order, the order of ctx.decisions.
         cells = kripke._cell_patterns(k)
-        atom_cell = {d.name: c for d, c in zip(rec.decisions, cells) if isinstance(d, Atom)}
-        box_cells = iter([c for d, c in zip(rec.decisions, cells) if isinstance(d, Box)])
-        steps = closure_steps(rec.target)
+        atom_cell = {d.name: c for d, c in zip(ctx.decisions, cells) if isinstance(d, Atom)}
+        box_cells = iter([c for d, c in zip(ctx.decisions, cells) if isinstance(d, Box)])
+        steps = closure_steps(ctx.target)
         self.truth = truth = kripke._run(steps, atom_cell, full, lambda _: next(box_cells))
-        self.record = rec
+        self.context = ctx
         # Per box: its decision dimension, then the worlds holding Box q,
         # those holding Box q and q (where a box of the current world
         # carries on), and those holding Box q and Not q (where an
-        # obligation Not (Box q) is met). The steps follow rec.closure, and
+        # obligation Not (Box q) is met). The steps follow ctx.closure, and
         # a Box step's first operand is the closure index of its body.
         self.boxes = []
         dim = 0
-        for i, q in enumerate(rec.closure):
+        for i, q in enumerate(ctx.closure):
             if isinstance(q, Box):
                 has, arg = truth[i], truth[steps[i][1]]
                 self.boxes.append((dim, has, has & arg, has & ~arg))
@@ -235,7 +277,7 @@ class _Engine:
         goes through the signed closure in canonical order and keeps the
         candidates holding each formula whenever some do."""
         full, truth = self.full, self.truth
-        for i, positive in self.record.pairs:
+        for i, positive in self.context.pairs:
             narrowed = candidates & (truth[i] if positive else full ^ truth[i])
             if narrowed:
                 candidates = narrowed
@@ -247,7 +289,7 @@ class _Engine:
         canonical order."""
         truth = self.truth
         return tuple(
-            j for j, (i, positive) in enumerate(self.record.pairs)
+            j for j, (i, positive) in enumerate(self.context.pairs)
             if (truth[i] >> b & 1) == positive
         )
 
@@ -256,65 +298,21 @@ class _Engine:
         return sum((t >> b & 1) << i for i, t in enumerate(self.truth))
 
     def world(self, b: int) -> World:
-        return self.record.world(self.mask(b))
-
-
-class _Record:
-    """Everything kept for one target: its closure and decision formulas,
-    each signed member's (closure index, polarity) from the merge that
-    orders the signed closure, and, built on first use, the closure
-    context (whose signed closure holds the Not nodes) and the engine."""
-
-    def __init__(self, target: Formula):
-        self.target = target
-        self.closure = subformulas(target)
-        self.decisions = tuple(q for q in self.closure if isinstance(q, (Atom, Box)))
-        self.pairs = _signed(target)
-        self._engine = None
-
-    @_cached_field
-    def context(self) -> ClosureContext:
-        signed = signed_subformulas(self.target)
-        return ClosureContext(self.target, self.closure, signed, self.decisions)
-
-    def engine(self) -> _Engine:
-        eng = self._engine
-        if eng is None:
-            eng = self._engine = _Engine(self)
-        return eng
-
-    def world(self, mask: int) -> World:
-        """The world holding closure formula i iff bit i of mask is set."""
-        w = World.__new__(World)
-        _set(w, "_record", self)
-        _set(w, "_mask", mask)
-        return w
-
-
-@lru_cache(maxsize=16)
-def _record(target: Formula) -> _Record:
-    """The record of target, from the module's one cache. Formulas are
-    interned, so the key hashes in constant time."""
-    return _Record(target)
-
-
-def _engine(ctx: ClosureContext) -> _Engine:
-    """The engine of ctx, which must be its target's closure context."""
-    rec = _record(ctx.target)
-    if ctx != rec.context:
-        raise ValueError("not the closure context of its target")
-    return rec.engine()
+        return self.context.world(self.mask(b))
 
 
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
     """Every world over the signed closure, in canonical order."""
-    eng = _engine(ctx)
+    eng = ctx.engine
     return tuple(map(eng.world, sorted(range(1 << len(ctx.decisions)), key=eng.positions)))
 
 
 def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
     """Syntactic accessibility: boxes propagate forward into x (with their
-    bodies) and some box is newly asserted in x against w."""
+    bodies) and some box is newly asserted in x against w. w and x must
+    be worlds of ctx's target (ValueError otherwise)."""
+    if w.context.target is not ctx.target or x.context.target is not ctx.target:
+        raise ValueError("not a world of this context")
     xs = x.member_set
     for f in w.members:
         if isinstance(f, Box) and (f not in xs or f.arg not in xs):
@@ -326,8 +324,8 @@ def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
 def saturate(ctx: ClosureContext, w: World) -> bool:
     """GL-satisfiability of a world: every negated box has a successor
     witness that is itself saturated."""
-    eng = _engine(ctx)
-    if w._record.target is not ctx.target:
+    eng = ctx.engine
+    if w.context.target is not ctx.target:
         raise ValueError("not a world of this context")
     dims = [i for i, q in enumerate(ctx.closure) if isinstance(q, (Atom, Box))]
     b = sum((w._mask >> i & 1) << j for j, i in enumerate(dims))
@@ -343,19 +341,19 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
 class StandardModel:
     """Countermodel carrier: saturated worlds, the standard relation as
     index pairs into `worlds`, membership valuation left implicit. It
-    keeps its target's record, found when it is built, and the closure
-    mask of each world, which must be a world of target (ValueError
-    otherwise). `context` is the record's closure context, read on first
-    use. Immutable; equality, hash and repr leave out `context` and the
-    model that `to_model` builds once and keeps."""
+    keeps `context`, its target's cached closure context, found when it
+    is built, and the closure mask of each world, which must be a world
+    of target (ValueError otherwise). Immutable; equality, hash and repr
+    leave out `context` and the model that `to_model` builds once and
+    keeps."""
 
     def __init__(self, target: Formula, worlds: tuple[World, ...], rel: tuple[tuple[int, int], ...]):
-        if any(w._record.target is not target for w in worlds):
+        if any(w.context.target is not target for w in worlds):
             raise ValueError("a world of another target")
         _set(self, "target", target)
         _set(self, "worlds", worlds)
         _set(self, "rel", rel)
-        _set(self, "_record", _record(target))
+        _set(self, "context", closure_context(target))
         _set(self, "_masks", tuple(w._mask for w in worlds))
         _set(self, "_model", None)
 
@@ -375,10 +373,6 @@ class StandardModel:
 
     __delattr__ = __setattr__
 
-    @_cached_field
-    def context(self) -> ClosureContext:
-        return self._record.context
-
     def to_model(self) -> Model:
         """The Kripke model: world i is worlds[i], and an atom holds where
         it is a member. Built on the first call and kept, so its
@@ -390,7 +384,7 @@ class StandardModel:
         """Keep the model on frame, which must be that of `rel`, with each
         closure atom true where its mask bit is set."""
         masks = self._masks
-        atoms = sorted((g.name, j) for j, g in enumerate(self._record.closure) if type(g) is Atom)
+        atoms = sorted((g.name, j) for j, g in enumerate(self.context.closure) if type(g) is Atom)
         val = {a: frozenset(i for i, x in enumerate(masks) if x >> j & 1) for a, j in atoms}
         m = Model(frame, MappingProxyType(val))
         _set(self, "_model", m)
@@ -420,8 +414,7 @@ def decide(f: Formula) -> Verdict:
     certificate is the submodel it generates: the witness and its
     saturated successors, in canonical order, related by the standard
     relation."""
-    rec = _record(f)
-    eng = rec.engine()
+    eng = closure_context(f).engine
     refuting = eng.saturated & ~eng.truth[-1]
     if not refuting:
         return Theorem(f)
@@ -473,34 +466,32 @@ def consistent(fs: Sequence[Formula]) -> bool:
     return not isinstance(decide(Not(conjlist(list(fs)))), Theorem)
 
 
-def extend_maximal_consistent(
-    ctx: ClosureContext, xs: Iterable[Formula]
-) -> World:
+def extend_maximal_consistent(ctx: ClosureContext, xs: Iterable[Formula]) -> World:
     """Extend a consistent seed from the signed closure to a full world.
 
-    Walks the closure in canonical order, keeping q when the list stays
-    consistent and otherwise taking Not q, so the result is the unique
-    deterministic completion of the seed.
+    A list of signed closure members is consistent iff some saturated
+    world holds all of it, by the truth lemma that `decide` rests on. So
+    the result is the canonically first saturated world holding the
+    seed: the completion that walks the closure in canonical order,
+    keeping q while the list stays consistent and otherwise taking Not q.
+    A seed member outside the signed closure, then repetitions, then an
+    inconsistent seed raise ValueError; a context past the decision-bit
+    limit raises SizeGuardError.
     """
-    cur = list(xs)
-    signed = set(ctx.signed_closure)
-    for f in cur:
-        if f not in signed:
-            raise ValueError(
-                f"seed member outside the signed closure: {print_formula(f)}"
-            )
-    if len(set(cur)) != len(cur):
+    seed = list(xs)
+    column = dict(zip(ctx.signed_closure, ctx.pairs))
+    for f in seed:
+        if f not in column:
+            raise ValueError(f"seed member outside the signed closure: {print_formula(f)}")
+    if len(set(seed)) != len(seed):
         raise ValueError("seed contains repetitions")
-    if not consistent(cur):
+    eng = ctx.engine
+    held = eng.saturated
+    for i, positive in map(column.get, seed):
+        held &= eng.truth[i] if positive else eng.full ^ eng.truth[i]
+    if not held:
         raise ValueError("seed list is inconsistent")
-    present = set(cur)
-    for q in ctx.closure:
-        if q in present or Not(q) in present:
-            continue
-        pick = q if consistent(cur + [q]) else Not(q)
-        cur.append(pick)
-        present.add(pick)
-    return World(ctx.target, canonical_order(cur))
+    return eng.world(eng.first(held))
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +546,7 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
         type(c) is not int for t in closure if type(t) is list for c in t[1:]
     ):
         raise ValueError("certificate field 'closure': not the target's closure as shared terms")
-    rec, n, worlds = _record(f), len(closure), []
+    ctx, n, worlds = closure_context(f), len(closure), []
     for nm in names:
         s = truth.get(nm)
         if not (type(s) is str and _MASK.fullmatch(s)) or (x := int(s, 16)) >> n:
@@ -563,7 +554,7 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
                 f"certificate field 'world_truth': world {nm!r} needs a lowercase hex "
                 f"mask with no prefix, below 2**{n}; got {s!r:.40}"
             )
-        worlds.append(rec.world(x))
+        worlds.append(ctx.world(x))
     if len(truth) > len(names):
         extra = next(nm for nm in truth if nm not in names)
         raise ValueError(f"certificate field 'world_truth': undeclared world {extra!r}")

@@ -11,13 +11,15 @@ irreflexive transitive models, the semantic oracle for theorem
 verdicts, the sweep over every labelled ITF frame that the rooted-frame
 oracle is checked against, and the `extensions`-based certificate
 check that the mask-based one is checked against, and the edge-scan
-frame predicates that the mask-based ones are checked against."""
+frame predicates that the mask-based ones are checked against, and the
+greedy completion by `consistent` that the engine's extension is checked
+against."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from glkit.completeness import (
     ClosureContext,
     Countermodel,
     World,
+    consistent,
     hintikka_worlds,
     standard_rel,
 )
@@ -200,6 +203,29 @@ def reference_saturated(ctx: ClosureContext) -> frozenset[World]:
         return memo[w]
 
     return frozenset(w for w in ws if saturated(w))
+
+
+def reference_extend_maximal_consistent(ctx: ClosureContext, xs: Iterable[Formula]) -> World:
+    """The extension by its definition: walk the closure in canonical
+    order, keeping q when the list stays consistent and otherwise taking
+    Not q, with one `consistent` decision per step."""
+    cur = list(xs)
+    signed = set(ctx.signed_closure)
+    for f in cur:
+        if f not in signed:
+            raise ValueError(f"seed member outside the signed closure: {print_formula(f)}")
+    if len(set(cur)) != len(cur):
+        raise ValueError("seed contains repetitions")
+    if not consistent(cur):
+        raise ValueError("seed list is inconsistent")
+    present = set(cur)
+    for q in ctx.closure:
+        if q in present or Not(q) in present:
+            continue
+        pick = q if consistent(cur + [q]) else Not(q)
+        cur.append(pick)
+        present.add(pick)
+    return World(ctx.target, canonical_order(cur))
 
 
 def reference_largest_bisimulation(m1: Model, m2: Model) -> BisimRelation:

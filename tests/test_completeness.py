@@ -50,6 +50,7 @@ from helpers import (
     random_formula,
     random_guarded_formula,
     random_itf_model,
+    reference_extend_maximal_consistent,
     reference_saturated,
     reference_signed_closure,
     reference_verify_certificate,
@@ -143,6 +144,14 @@ class TestStandardRel:
                     if standard_rel(ctx, b, c):
                         assert standard_rel(ctx, a, c)
 
+    def test_world_of_another_target_rejected(self):
+        ws = hintikka_worlds(closure_context(parse("Box p")))
+        ctx = closure_context(parse("r"))
+        (own,) = [w for w in hintikka_worlds(ctx) if parse("r") in w]
+        for w, x in [(ws[0], ws[1]), (ws[0], own), (own, ws[0])]:
+            with pytest.raises(ValueError, match="not a world of this context"):
+                standard_rel(ctx, w, x)
+
 
 class TestSaturate:
     def test_no_obligations(self):
@@ -174,16 +183,20 @@ class TestSaturate:
             saturate(ctx, World(q, (q,)))
 
     def test_foreign_context_rejected(self):
-        # The engine belongs to the target's own context; a context that
-        # differs from it names no world of that engine.
+        # A context takes its target alone, so no context can disagree
+        # with its target; one built afresh reads the cached context's
+        # worlds.
         ctx = closure_context(parse("Box p --> p"))
         w = world_of(ctx, "p", "Not Box p", "Box p --> p")
-        other = ctx._replace(decisions=ctx.decisions[:1])
-        with pytest.raises(ValueError):
-            saturate(other, w)
-        with pytest.raises(ValueError):
-            hintikka_worlds(other)
-        assert saturate(ClosureContext(*ctx), w) is True
+        with pytest.raises(TypeError):
+            ClosureContext(ctx.target, ctx.closure)
+        assert saturate(ClosureContext(ctx.target), w) is True
+
+    @pytest.mark.parametrize("target", ["p", 3, None])
+    def test_target_not_a_formula_rejected(self, target):
+        for build in (ClosureContext, closure_context, lambda t: World(t, ())):
+            with pytest.raises(TypeError, match="target must be a Formula"):
+                build(target)
 
 
 def _reference_cases():
@@ -236,6 +249,37 @@ class TestAgainstReference:
             assert set(v.model.worlds) == successors | {v.witness}
             assert len(v.model.worlds) == len(successors) + 1
 
+    def test_worlds_are_ordered_by_their_member_lists(self, cases):
+        # Pins the engine's position order and `first` (through the
+        # witness test above) to the canonical order of member lists.
+        for ctx, _ in cases:
+            ws = hintikka_worlds(ctx)
+            assert len(set(ws)) == 1 << len(ctx.decisions)
+            by_members = sorted(ws, key=lambda w: [canonical_key(m) for m in w.members])
+            assert list(ws) == by_members, print_formula(ctx.target)
+
+    def test_extension_matches_the_greedy_reference(self, cases):
+        rng = random.Random(2121)
+        outcomes = {"world": 0, "inconsistent": 0, "repetitions": 0}
+        for _ in range(600):
+            ctx, _ = rng.choice(cases)
+            seed = [s for s in ctx.signed_closure if rng.random() < 0.3]
+            rng.shuffle(seed)
+            if seed and rng.random() < 0.05:
+                seed.append(rng.choice(seed))
+            try:
+                want = reference_extend_maximal_consistent(ctx, seed)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    extend_maximal_consistent(ctx, seed)
+                assert str(got.value) == str(e), print_formula(ctx.target)
+                outcomes["repetitions" if "repetitions" in str(e) else "inconsistent"] += 1
+                continue
+            got = extend_maximal_consistent(ctx, seed)
+            assert got == want and got.members == want.members, print_formula(ctx.target)
+            outcomes["world"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
 
 def _chain(k: int, theorem: bool):
     """Box (a0 --> a1) && ... --> Box (a0 --> an) && Box Box an, with k =
@@ -261,35 +305,35 @@ class TestLargeChains:
 
     def test_k14_round_trip_builds_one_record(self):
         # decide, the printer and the load all find the target's one
-        # record, so its closure is worked out once.
-        completeness._record.cache_clear()
+        # cached closure context, so its closure is worked out once.
+        completeness.closure_context.cache_clear()
         v = decide(_chain(14, False))
         reloaded = certificate_from_json(certificate_to_json(v))
-        assert completeness._record.cache_info().misses == 1
+        assert completeness.closure_context.cache_info().misses == 1
         assert reloaded.model.context is v.model.context
         assert verify_certificate(reloaded) is True
 
     def test_k14_load_without_the_record_builds_its_own(self):
-        # As in a fresh process: the load works its record out from the
-        # target text and builds no engine.
+        # As in a fresh process: the load works the closure context out
+        # from the target text and builds no engine.
         f = _chain(14, False)
         v = decide(f)
         doc = certificate_to_json(v)
-        completeness._record.cache_clear()
+        completeness.closure_context.cache_clear()
         reloaded = certificate_from_json(doc)
-        assert completeness._record.cache_info().misses == 1
-        assert completeness._record(f)._engine is None
+        assert completeness.closure_context.cache_info().misses == 1
+        assert "engine" not in vars(completeness.closure_context(f))
         assert reloaded.model.context is not v.model.context
         assert reloaded.model.context == v.model.context
         assert verify_certificate(reloaded) is True
 
     def test_k14_theorem_builds_no_context(self):
-        # The engine reads the record's closure, decisions and pairs only,
+        # The engine reads the context's closure, decisions and pairs only,
         # so a theorem verdict makes no Not node of the signed closure.
         f = _chain(14, True)
-        completeness._record.cache_clear()
+        completeness.closure_context.cache_clear()
         assert isinstance(decide(f), Theorem)
-        assert "context" not in vars(completeness._record(f))
+        assert "signed_closure" not in vars(completeness.closure_context(f))
 
     def test_context_of_another_target_rejected(self):
         v = decide(_chain(6, False))
@@ -298,14 +342,14 @@ class TestLargeChains:
 
     def test_k14_hash_derives_no_members(self):
         # A world hashes as its target and mask, so hashing a decided
-        # model derives no member list and builds no context.
+        # model derives no member list and no signed closure.
         f = _chain(14, False)
-        completeness._record.cache_clear()
+        completeness.closure_context.cache_clear()
         v = decide(f)
         hash(v.model)
         assert len({*v.model.worlds}) == len(v.model.worlds)
         assert all("members" not in vars(w) for w in v.model.worlds)
-        assert "context" not in vars(completeness._record(f))
+        assert "signed_closure" not in vars(completeness.closure_context(f))
 
 
 class TestMaskWorlds:
@@ -323,13 +367,13 @@ class TestMaskWorlds:
 
     def test_round_trip_derives_no_members(self):
         for f in self.refutable():
-            completeness._record.cache_clear()
+            completeness.closure_context.cache_clear()
             v = decide(f)
             reloaded = certificate_from_json(json.loads(json.dumps(certificate_to_json(v))))
             assert verify_certificate(reloaded) is True
             for w in (*v.model.worlds, *reloaded.model.worlds):
                 assert "members" not in vars(w)
-            assert "context" not in vars(completeness._record(f))
+            assert "signed_closure" not in vars(completeness.closure_context(f))
 
     def test_equal_to_the_world_of_its_members(self):
         for f in self.refutable():
@@ -669,6 +713,18 @@ class TestExtendMaximalConsistent:
         ctx = closure_context(parse("p && p"))
         with pytest.raises(ValueError):
             extend_maximal_consistent(ctx, [p, p])
+
+    def test_extension_adds_no_cache_entry(self):
+        # The walk reads the engine of ctx, so it decides no other target.
+        f = parse(
+            "Box (a0 --> a1) && Box (a1 --> a2) && Box (a2 --> a3)"
+            " --> Box (a0 --> a3) && Box Box a3"
+        )
+        ctx = closure_context(f)
+        misses = closure_context.cache_info().misses
+        m = extend_maximal_consistent(ctx, [Not(f)])
+        assert closure_context.cache_info().misses == misses
+        assert Not(f) in m and saturate(ctx, m)
 
     def test_extension_is_world_containing_seed(self):
         ctx = closure_context(parse("Box p --> (p && q)"))

@@ -366,7 +366,7 @@ class TestInterning:
         # Only the bounded caches keep formulas alive; with them cleared,
         # the intern table is back to its size before the loop.
         def live() -> int:
-            completeness._record.cache_clear()
+            completeness.closure_context.cache_clear()
             gc.collect()
             return len(syntax._NODES)
 
@@ -435,10 +435,12 @@ def test_no_unbounded_cache_in_the_package():
     src = Path(glkit.__file__).parent
     for path in src.glob("*.py"):
         assert not _UNBOUNDED_CACHE.search(path.read_text()), path.name
-    # The decide path caches in one place: the per-target record.
+    # The decide path caches in one place: the per-target closure context.
     text = (src / "completeness.py").read_text()
     assert text.count("lru_cache(") == 1
-    assert re.findall(r"@lru_cache\((.*)\)\ndef (\w+)\(", text) == [("maxsize=16", "_record")]
+    assert re.findall(r"@lru_cache\((.*)\)\ndef (\w+)\(", text) == [
+        ("maxsize=16", "closure_context")
+    ]
     # Model and frame checks cache nothing per formula: kripke's one cache
     # is keyed by a block width.
     text = (src / "kripke.py").read_text()
