@@ -28,9 +28,15 @@ involved.
 
 `decide` reports Theorem when no saturated world refutes the target.
 Otherwise the witness is the canonically first saturated refuting world,
-and the certificate is the submodel it generates: the witness and its
-saturated successors under the standard relation, which is transitive,
-with the membership valuation. Generated submodels preserve truth.
+and the certificate is the submodel it selects, as in the selection step
+of the finite-model-property proofs (Blackburn, de Rijke & Venema,
+*Modal Logic*, 2001, ch. 2): each emitted world keeps, for each
+Not (Box q) it holds, one witness, the canonically first saturated
+standard successor holding Box q and Not q, and the relation is the
+transitive closure of those selected edges, with the membership
+valuation. The truth lemma holds there: every edge is a standard edge,
+since the standard relation is transitive, so a box of a world holds its
+body at every successor; and every negated box keeps its own witness.
 `verify_certificate` re-checks a certificate from first principles
 (frame shape, membership/truth agreement, falsification) by evaluating
 the closure once on the certificate's own relation and comparing each
@@ -39,14 +45,15 @@ world's mask with the truth there.
 Closure contexts: each target's analysis is one `ClosureContext`, built
 from the target alone. It holds the closure, the decisions and each
 signed member's (closure index, polarity) from the merge that orders the
-signed closure, and, built on first use, the signed closure's Not nodes
-and the engine (truth table and saturated set). `closure_context` is the
-module's one cache, an `lru_cache` of the contexts of the 16 most
-recently used targets keyed by the interned formula. `decide`, `World`,
-`StandardModel` and both serializers read the target's cached context,
-so a target decided, written and reloaded in one process is analysed
-once. `extend_maximal_consistent` reads the engine of the context it is
-given and adds no entry to the cache.
+signed closure, and, built on first use, the signed closure's Not nodes,
+the engine (truth table and saturated set) and the closure as a
+certificate's shared terms. `closure_context` is the module's one cache,
+an `lru_cache` of the contexts of the 16 most recently used targets
+keyed by the interned formula. `decide`, `World`, `StandardModel` and
+both serializers read the target's cached context, so a target decided,
+written and reloaded in one process is analysed, and its closure table
+built, once. `extend_maximal_consistent` reads the engine of the context
+it is given and adds no entry to the cache.
 
 Serialization: a certificate is a model document plus the target as
 text, its closure as shared terms written from `syntax.closure_steps`,
@@ -135,6 +142,20 @@ class ClosureContext:
     @_cached_field
     def engine(self) -> _Engine:
         return _Engine(self)
+
+    @_cached_field
+    def closure_terms(self) -> list:
+        """The closure as the shared terms of a certificate document: an
+        atom's name, True, False, or a tag and its children's closure
+        positions. The loader compares a document's closure with it, and
+        the writer gives each document a copy, so it is never changed."""
+        return [
+            a if cls is Atom
+            else _CONSTANT_NAMES[cls] if a is None
+            else [cls.__name__, a] if b is None
+            else [cls.__name__, a, b]
+            for cls, a, b in closure_steps(self.target)
+        ]
 
     def world(self, mask: int) -> World:
         """The world holding closure formula i iff bit i of mask is set."""
@@ -257,16 +278,6 @@ class _Engine:
             if all(keep & need & sat for need in needs):
                 sat |= here
         return sat
-
-    def successors(self, b: int) -> int:
-        """The saturated worlds the standard relation leads to from b."""
-        keep, fresh = self.full, 0
-        for i, has, carry, _ in self.boxes:
-            if b >> i & 1:
-                keep &= carry
-            else:
-                fresh |= has
-        return keep & fresh & self.saturated
 
     def first(self, candidates: int) -> int:
         """The canonically first world of a nonempty set of worlds.
@@ -411,24 +422,41 @@ def decide(f: Formula) -> Verdict:
     the saturated set from one sweep over box patterns, most boxes first.
     f is a theorem iff no saturated world refutes it. Otherwise the
     witness is the canonically first saturated refuting world, and the
-    certificate is the submodel it generates: the witness and its
-    saturated successors, in canonical order, related by the standard
-    relation."""
+    certificate is the submodel it selects: from the witness on, each
+    emitted world x gets, for each Not (Box q) it holds, its canonically
+    first saturated standard successor holding Box q and Not q. The
+    worlds are listed in canonical order and related by the transitive
+    closure of those selected edges."""
     eng = closure_context(f).engine
     refuting = eng.saturated & ~eng.truth[-1]
     if not refuting:
         return Theorem(f)
     w = eng.first(refuting)
-    emitted = eng.successors(w) | 1 << w
-    order = sorted(_bits(emitted), key=eng.positions)
+    selected, todo = {}, [w]
+    while todo:
+        x = todo.pop()
+        if x in selected:
+            continue
+        keep, needs = eng.saturated, []
+        for i, _, carry, need in eng.boxes:
+            if x >> i & 1:
+                keep &= carry
+            else:
+                needs.append(need)
+        selected[x] = ys = {eng.first(keep & need) for need in needs}
+        todo += ys
+    order = sorted(selected, key=eng.positions)
     index = {b: i for i, b in enumerate(order)}
-    rel = tuple(
-        sorted(
-            (index[x], index[y])
-            for x in order
-            for y in _bits(eng.successors(x) & emitted)
-        )
-    )
+    # A successor holds strictly more boxes, so by decreasing box count
+    # every world comes after its successors and their reach is known.
+    boxes = sum(1 << i for i, *_ in eng.boxes)
+    reach = {}
+    for x in sorted(selected, key=lambda b: (b & boxes).bit_count(), reverse=True):
+        r = 0
+        for y in selected[x]:
+            r |= reach[y] | 1 << index[y]
+        reach[x] = r
+    rel = tuple((index[x], j) for x in order for j in _bits(reach[x]))
     worlds = tuple(map(eng.world, order))
     return Countermodel(StandardModel(f, worlds, rel), worlds[index[w]])
 
@@ -498,18 +526,6 @@ def extend_maximal_consistent(ctx: ClosureContext, xs: Iterable[Formula]) -> Wor
 # Certificate serialization
 
 
-def _closure_terms(f: Formula) -> list:
-    """subformulas(f) as the shared terms of a proof document: an atom's
-    name, True, False, or a tag and its children's closure positions."""
-    return [
-        a if cls is Atom
-        else _CONSTANT_NAMES[cls] if a is None
-        else [cls.__name__, a] if b is None
-        else [cls.__name__, a, b]
-        for cls, a, b in closure_steps(f)
-    ]
-
-
 def certificate_to_json(v: Countermodel) -> dict:
     """A model document plus `target`, `closure` (as shared terms), `witness`
     and `world_truth`: per world, a hex mask whose bit i is set iff closure
@@ -517,7 +533,7 @@ def certificate_to_json(v: Countermodel) -> dict:
     sm = v.model
     doc = kripke.model_to_json(sm.to_model())
     doc["target"] = print_formula(sm.target)
-    doc["closure"] = _closure_terms(sm.target)
+    doc["closure"] = [t.copy() if type(t) is list else t for t in sm.context.closure_terms]
     try:
         doc["witness"] = f"w{sm.worlds.index(v.witness)}"
     except ValueError:
@@ -528,7 +544,7 @@ def certificate_to_json(v: Countermodel) -> dict:
 
 def certificate_from_json(doc: Mapping) -> Countermodel:
     """Load a certificate as `certificate_to_json` writes it. `closure`
-    is compared with the table written for the parsed target, not parsed.
+    is compared with the parsed target's `closure_terms`, not parsed.
     A document of the wrong shape raises ValueError naming the bad field."""
     m, names = kripke.model_from_json(doc)
     target, witness, closure, truth = (
@@ -541,12 +557,13 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
     if not isinstance(truth, Mapping):
         raise ValueError("certificate field 'world_truth': expected an object of hex masks")
     f = parse(target)
+    ctx = closure_context(f)
     # An equal table may still hold true or 1.0 for a position.
-    if closure != _closure_terms(f) or any(
+    if closure != ctx.closure_terms or any(
         type(c) is not int for t in closure if type(t) is list for c in t[1:]
     ):
         raise ValueError("certificate field 'closure': not the target's closure as shared terms")
-    ctx, n, worlds = closure_context(f), len(closure), []
+    n, worlds = len(closure), []
     for nm in names:
         s = truth.get(nm)
         if not (type(s) is str and _MASK.fullmatch(s)) or (x := int(s, 16)) >> n:

@@ -336,13 +336,23 @@ def _validates_lob(fr: Frame) -> bool:
     successor in S. Deleting from all worlds each world of R(w) with no
     successor left, until none is, leaves the greatest such S. A world
     goes only after all its successors, so none that reaches a cycle ever
-    goes; the others are peeled once, each after its successors, and one
-    pass per w in that order deletes them however the worlds are listed."""
-    masks = fr._layout.box_masks  # (successor mask, own bit) per world
-    order, peeled = [], 0
-    while layer := [(s, b) for s, b in masks if not b & peeled and s | peeled == peeled]:
-        order += layer
-        peeled |= sum(b for _, b in layer)
+    goes; the others are peeled once, each when its last successor goes,
+    and one pass per w in that order deletes them however the worlds are
+    listed."""
+    lay = fr._layout
+    left = [len(js) for js in lay.succ]  # successors not yet peeled
+    preds: list[list[int]] = [[] for _ in left]
+    for i, js in enumerate(lay.succ):
+        for j in js:
+            preds[j].append(i)
+    peeled = [i for i, k in enumerate(left) if not k]
+    for j in peeled:  # grows while it is walked
+        for i in preds[j]:
+            left[i] -= 1
+            if not left[i]:
+                peeled.append(i)
+    masks = lay.box_masks  # (successor mask, own bit) per world
+    order = [masks[i] for i in peeled]
     for r, _ in masks:
         alive = -1
         for s, b in order:

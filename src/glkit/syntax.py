@@ -36,10 +36,12 @@ reserved words Not, Box, True, False.
 
 A fixed total order (`canonical_key`) makes every enumeration in the
 package deterministic. `subformulas` lists a closure in that order, and
-`signed_subformulas` merges it with its negations. The pass that orders
-a closure also writes its program, `closure_steps`, which every
-evaluator in the package runs and from which a certificate writes the
-closure as shared terms; the node keeps both, freed with it.
+`_signed` merges it with its negations as (closure index, polarity)
+pairs, from which `completeness.ClosureContext` reads the signed
+closure. The pass that orders a closure also writes its program,
+`closure_steps`, which every evaluator in the package runs and from
+which a certificate writes the closure as shared terms; the node keeps
+both, freed with it.
 """
 
 from __future__ import annotations
@@ -380,13 +382,6 @@ def _signed(f: Formula) -> tuple[tuple[int, bool], ...]:
             pairs.append((i, False))
     # Not f is larger than every member of the closure, so none is left.
     return tuple(pairs)
-
-
-def signed_subformulas(f: Formula) -> tuple[Formula, ...]:
-    """The subformulas of f and their negations, in canonical order; a
-    negation that is itself a subformula is listed once."""
-    closure = subformulas(f)
-    return tuple(closure[i] if positive else Not(closure[i]) for i, positive in _signed(f))
 
 
 def canonical_order(fs: Iterable[Formula]) -> tuple[Formula, ...]:

@@ -11,9 +11,10 @@ irreflexive transitive models, the semantic oracle for theorem
 verdicts, the sweep over every labelled ITF frame that the rooted-frame
 oracle is checked against, and the `extensions`-based certificate
 check that the mask-based one is checked against, and the edge-scan
-frame predicates that the mask-based ones are checked against, and the
+frame predicates that the mask-based ones are checked against, the
 greedy completion by `consistent` that the engine's extension is checked
-against."""
+against, and the selection from worlds and the standard relation that
+`decide`'s countermodels are checked against."""
 
 from __future__ import annotations
 
@@ -29,9 +30,13 @@ from glkit.calculus import AxiomStep, MpStep, Proof
 from glkit.completeness import (
     ClosureContext,
     Countermodel,
+    StandardModel,
+    Theorem,
     World,
+    closure_context,
     consistent,
     hintikka_worlds,
+    saturate,
     standard_rel,
 )
 from glkit.kripke import Frame, Model, enumerate_frames, extensions, is_itf, valid_on_frame
@@ -226,6 +231,43 @@ def reference_extend_maximal_consistent(ctx: ClosureContext, xs: Iterable[Formul
         cur.append(pick)
         present.add(pick)
     return World(ctx.target, canonical_order(cur))
+
+
+def reference_selected_countermodel(f: Formula) -> Theorem | Countermodel:
+    """The verdict with the selected submodel by its definition, from the
+    worlds in canonical order, `saturate`, `standard_rel` and membership:
+    Theorem when no saturated world holds Not f. Otherwise the witness is
+    the first saturated world holding Not f; from it on, each selected
+    world x gets, for each box of the closure that x lacks, in closure
+    order, the first saturated standard successor of x holding Box q and
+    Not q. The relation is the transitive closure of those edges, found
+    by adding composed pairs until none is new."""
+    ctx = closure_context(f)
+    ws = hintikka_worlds(ctx)
+    saturated = [w for w in ws if saturate(ctx, w)]
+    refuting = [w for w in saturated if Not(f) in w]
+    if not refuting:
+        return Theorem(f)
+    boxes = [g for g in ctx.closure if isinstance(g, Box)]
+    selected: dict[World, list[World]] = {}
+    todo = [refuting[0]]
+    while todo:
+        x = todo.pop()
+        if x in selected:
+            continue
+        selected[x] = [
+            next(y for y in saturated if standard_rel(ctx, x, y) and g in y and Not(g.arg) in y)
+            for g in boxes
+            if g not in x
+        ]
+        todo += selected[x]
+    edges = {(x, y) for x, ys in selected.items() for y in ys}
+    while more := {(x, z) for x, y in edges for u, z in edges if u == y} - edges:
+        edges |= more
+    worlds = tuple(w for w in ws if w in selected)
+    index = {w: i for i, w in enumerate(worlds)}
+    rel = tuple(sorted((index[x], index[y]) for x, y in edges))
+    return Countermodel(StandardModel(f, worlds, rel), refuting[0])
 
 
 def reference_largest_bisimulation(m1: Model, m2: Model) -> BisimRelation:

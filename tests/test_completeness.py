@@ -52,6 +52,7 @@ from helpers import (
     random_itf_model,
     reference_extend_maximal_consistent,
     reference_saturated,
+    reference_selected_countermodel,
     reference_signed_closure,
     reference_verify_certificate,
 )
@@ -241,13 +242,16 @@ class TestAgainstReference:
         assert refuted > 0
 
     def test_emitted_worlds_are_the_witness_and_its_successors(self, cases):
+        # The selected submodel: the witness and some of its saturated
+        # successors, as the selection's definition picks them.
         for ctx, saturated in cases:
             v = decide(ctx.target)
             if isinstance(v, Theorem):
                 continue
             successors = {x for x in saturated if standard_rel(ctx, v.witness, x)}
-            assert set(v.model.worlds) == successors | {v.witness}
-            assert len(v.model.worlds) == len(successors) + 1
+            assert v.witness in v.model.worlds
+            assert set(v.model.worlds) <= successors | {v.witness}
+            assert v == reference_selected_countermodel(ctx.target), print_formula(ctx.target)
 
     def test_worlds_are_ordered_by_their_member_lists(self, cases):
         # Pins the engine's position order and `first` (through the
@@ -521,6 +525,64 @@ def stream_corpus() -> list:
     return [random_guarded_formula(rng, 5, ("p", "q", "r"), 4) for _ in range(200)]
 
 
+def refutable_rungs() -> list:
+    """The `ladder` benchmark's refutable rungs, k = 6 and 8, and k = 10."""
+    return [_chain(k, False) for k in (6, 8, 10)]
+
+
+def assert_selected_submodel(v: Countermodel) -> None:
+    """What the truth lemma needs of the selected submodel: every edge is
+    a standard edge, every negated box of every world has a successor
+    holding its body's negation, the relation is transitive, and every
+    world is the witness or a saturated standard successor of it."""
+    sm = v.model
+    ctx, ws, rel = sm.context, sm.worlds, set(sm.rel)
+    for i, j in rel:
+        assert standard_rel(ctx, ws[i], ws[j])
+    for i, w in enumerate(ws):
+        for g in ctx.closure:
+            if isinstance(g, Box) and g not in w:
+                assert any(Not(g.arg) in ws[j] for k, j in rel if k == i), (w, g)
+    assert all((x, z) in rel for x, y in rel for u, z in rel if u == y)
+    for w in ws:
+        assert w == v.witness or (standard_rel(ctx, v.witness, w) and saturate(ctx, w))
+
+
+class TestSelection:
+    """`decide`'s countermodels against the selection built from its
+    definition (`reference_selected_countermodel`)."""
+
+    @pytest.fixture(scope="class")
+    def targets(self):
+        # In the last, the witness meets Box q and Box (p && q) with one
+        # world, which holds Not q. The world it selects for
+        # Box Box (p && q) holds Box q, so it meets Box (p && q) with
+        # another world, one holding q, and only the transitive closure
+        # relates the witness to that one.
+        return [*stream_corpus(), *refutable_rungs(), parse("Box q || Box Box (p && q)")]
+
+    def test_equals_the_reference(self, targets):
+        refuted = 0
+        for f in targets:
+            want = reference_selected_countermodel(f)
+            assert decide(f) == want, print_formula(f)
+            refuted += isinstance(want, Countermodel)
+        assert refuted > 100
+
+    def test_truth_lemma_premises(self, targets):
+        for f in targets:
+            v = decide(f)
+            if isinstance(v, Countermodel):
+                assert_selected_submodel(v)
+
+    @given(formulas(max_leaves=10))
+    def test_random_formulas(self, f):
+        v = decide(f)
+        assert v == reference_selected_countermodel(f)
+        if isinstance(v, Countermodel):
+            assert_selected_submodel(v)
+
+
 def member_list_mutants(v: Countermodel, rng: random.Random):
     """(kind, i, members) triples: the member list of world i of v with
     one member dropped, one added in canonical place, or one appended."""
@@ -573,7 +635,12 @@ class TestVerifyAgainstReference:
 
     @pytest.fixture(scope="class")
     def certificates(self):
-        verdicts = [decide(f) for f in stream_corpus()]
+        # A selected submodel has a transitive edge only where the
+        # selection goes two steps deep, so the refutable rungs and deeper
+        # seeded formulas join the corpus to give enough such mutants.
+        rng = random.Random(24)
+        deeper = [random_guarded_formula(rng, 7, ("p", "q", "r"), 6) for _ in range(200)]
+        verdicts = [decide(f) for f in (*stream_corpus(), *refutable_rungs(), *deeper)]
         return [v for v in verdicts if isinstance(v, Countermodel)]
 
     def test_corpus(self, certificates):
@@ -778,7 +845,7 @@ def flip(doc: dict, world: str, i: int) -> None:
 
 # A target whose certificate has three worlds, two edges, two atoms and
 # masks with hex letters in them.
-RICH = "Box (p --> Box q) --> Box p || q"
+RICH = "q --> Box (Box p --> q || p)"
 
 
 class TestCertificateJson:
@@ -809,12 +876,25 @@ class TestCertificateJson:
     def test_pinned_fields(self):
         doc = certificate_to_json(decide(parse(RICH)))
         assert doc["closure"] == [
-            "p", "q", ["Box", 0], ["Box", 1], ["Or", 2, 1], ["Imp", 0, 3], ["Box", 5],
-            ["Imp", 6, 4],
+            "p", "q", ["Box", 0], ["Or", 1, 0], ["Imp", 2, 3], ["Box", 4], ["Imp", 1, 5],
         ]
-        assert doc["world_truth"] == {"w0": "ff", "w1": "69", "w2": "fe"}
+        assert doc["world_truth"] == {"w0": "1b", "w1": "7e", "w2": "64"}
         constants = certificate_to_json(decide(parse("True --> False")))
         assert constants["closure"] == ["False", "True", ["Imp", 1, 0]]
+
+    def test_closure_table_built_once_and_copied_out(self):
+        # The writer and the loader read the context's one table; a
+        # document gets a copy, so changing it leaves the table alone.
+        v = decide(parse(RICH))
+        table = v.model.context.closure_terms
+        doc = certificate_to_json(v)
+        assert doc["closure"] == table and doc["closure"] is not table
+        doc["closure"][-1].append(0)
+        with pytest.raises(ValueError, match="closure"):
+            certificate_from_json(doc)
+        doc["closure"][-1].pop()
+        assert certificate_from_json(doc) == v
+        assert v.model.context.closure_terms is table and table[-1] == ["Imp", 1, 5]
 
     def test_round_trip(self):
         v = decide(parse("Box p --> p"))
@@ -896,11 +976,11 @@ class TestCertificateJson:
         with pytest.raises(ValueError, match=field):
             certificate_from_json({**doc, field: value})
 
-    @pytest.mark.parametrize("spelling", ["0x{}", "-{}", "0_{}", "0{}", " {}", "{}\n", "{}L", "FF"])
+    @pytest.mark.parametrize("spelling", ["0x{}", "-{}", "0_{}", "0{}", " {}", "{}\n", "{}L", "1B"])
     def test_mask_spelled_otherwise_rejected(self, spelling):
         doc = certificate_to_json(decide(parse(RICH)))
-        assert doc["world_truth"]["w0"] == "ff"
-        doc["world_truth"]["w0"] = spelling.format("ff")
+        assert doc["world_truth"]["w0"] == "1b"
+        doc["world_truth"]["w0"] = spelling.format("1b")
         with pytest.raises(ValueError, match="world_truth.*'w0'"):
             certificate_from_json(doc)
 

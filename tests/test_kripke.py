@@ -223,6 +223,26 @@ class TestFramePredicates:
             assert frame_report(Frame(worlds, frozenset(rel))).validates_lob is True
             assert frame_report(Frame(worlds, frozenset(rel | {back}))).validates_lob is False
 
+    def test_lob_on_a_200_chain_does_not_depend_on_the_listing(self):
+        # The strict order on 200 worlds, with one transitive edge dropped,
+        # with a back edge, and as its covering edges only; each listed
+        # upwards, downwards and shuffled.
+        n = 200
+        up = {(x, y) for x in range(n) for y in range(x + 1, n)}
+        frames = [up, up - {(0, n - 1)}, up | {(n - 1, n // 2)}, {(x, x + 1) for x in range(n - 1)}]
+        shuffled = list(range(n))
+        random.Random(16).shuffle(shuffled)
+        listings = [list(range(n)), list(range(n))[::-1], shuffled]
+        verdicts = []
+        for rel in frames:
+            (rep,) = {
+                frame_report(Frame(frozenset(range(n)), frozenset((ids[x], ids[y]) for x, y in rel)))
+                for ids in listings
+            }
+            assert rep.validates_lob == (rep.transitive and rep.acyclic)
+            verdicts.append(rep.validates_lob)
+        assert verdicts == [True, False, False, False]
+
     def test_is_itf(self):
         assert is_itf(Frame(frozenset({0}), frozenset())) is True
         assert is_itf(Frame(frozenset(), frozenset())) is False

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import glkit
 from glkit import completeness, syntax
-from glkit.completeness import decide
+from glkit.completeness import closure_context, decide
 from glkit.syntax import (
     FALSE,
     TRUE,
@@ -31,7 +31,6 @@ from glkit.syntax import (
     node_count,
     parse,
     print_formula,
-    signed_subformulas,
     subformulas,
 )
 from helpers import formulas, random_formula, reference_signed_closure
@@ -152,7 +151,7 @@ class TestSignedSubformulas:
     )
     def test_pinned(self, text):
         f = parse(text)
-        signed = signed_subformulas(f)
+        signed = closure_context(f).signed_closure
         assert signed == reference_signed_closure(subformulas(f))
         assert len(signed) == len(set(signed))
         assert set(signed) == set(subformulas(f)) | {Not(g) for g in subformulas(f)}
