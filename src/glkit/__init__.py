@@ -5,6 +5,7 @@ Modules:
     kripke        finite Kripke models, frame predicates, validity oracles
     calculus      axiom schemas, proof kernel, derived-lemma catalogue
     completeness  worlds, saturation, decision procedure, certificates
+    certcheck     the certificate checker, importing nothing from glkit
     bisim         bisimulation and largest-bisimulation computation
     limits        size guards shared by the modules above
     cli           batch command-line interface (also `python -m glkit`),
@@ -12,8 +13,8 @@ Modules:
 
 `import glkit` loads none of them. Each public name below is looked up
 in its owning module on first access (PEP 562 module `__getattr__`) and
-then bound here, so `glkit.decide` loads `syntax`, `limits`, `kripke`
-and `completeness`, and only a caller of the proof kernel or of
+then bound here, so `glkit.decide` loads `syntax`, `limits`, `kripke`,
+`certcheck` and `completeness`, and only a caller of the proof kernel or of
 bisimulation pays to load `calculus` or `bisim`. A submodule is also
 reachable by its name, as `glkit.kripke`; `cli` is left out, so that
 `from glkit import *` does not load `argparse`.
@@ -34,9 +35,10 @@ _EXPORTS = {
         check_proof conjlist_map_box_proof is_axiom lemma lemma_statement
         match_axiom proof_from_json proof_to_json""",
     "completeness": """ClosureContext Countermodel StandardModel Theorem Verdict World
-        certificate_from_json certificate_to_json closure_context consistent
-        decide extend_maximal_consistent hintikka_worlds saturate standard_rel
-        verify_certificate""",
+        certificate_from_json certificate_problem certificate_to_json closure_context
+        consistent decide extend_maximal_consistent hintikka_worlds saturate
+        standard_rel verify_certificate""",
+    "certcheck": "",
     "bisim": "BisimRelation bisimilar is_bisimulation largest_bisimulation",
     "limits": "SizeGuardError",
 }

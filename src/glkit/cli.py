@@ -6,14 +6,16 @@ nested deeper than `limits.MAX_DEPTH` included), 4 internal error: any
 unexpected exception, reported in one line on stderr, and a failed
 re-check of `decide --cert`, which reloads and verifies its certificate
 before writing it and writes nothing if that fails. With --json a
-single JSON document is written to stdout; diagnostics go to stderr.
+single JSON document is written to stdout; diagnostics go to stderr. A
+rejected certificate's reason goes to stderr, and also under `"reason"`
+with --json.
 Formula arguments are taken inline, or from a file with @path.
 
 Every library module past `syntax` and `limits` is imported inside the
 commands that use it: `parse` loads no other, `check-model` and
 `frame-check` add `kripke`, `decide` and `check-cert` add `completeness`
-(and with it `kripke`), and only the commands that use the proof kernel
-(`calculus`) or `bisim` load those.
+(and with it `kripke` and `certcheck`), and only the commands that use
+the proof kernel (`calculus`) or `bisim` load those.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def _cmd_decide(args) -> int:
         problem = None
         try:
             reloaded = completeness.certificate_from_json(json.loads(text))
-            if not completeness.verify_certificate(reloaded):
-                problem = "the reloaded certificate does not verify"
+            reason = completeness.certificate_problem(reloaded)
+            if reason is not None:
+                problem = f"the reloaded certificate does not verify ({reason})"
         except (KeyError, ValueError) as e:
             problem = f"the certificate does not reload: {e}"
         if problem:
@@ -123,7 +126,7 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    from .completeness import certificate_from_json, verify_certificate
+    from .completeness import certificate_from_json, certificate_problem
 
     doc = _load_json(args.cert)
     # The loader orders the target's closure and the verifier evaluates
@@ -131,10 +134,12 @@ def _cmd_check_cert(args) -> int:
     target = doc.get("target") if isinstance(doc, dict) else None
     if isinstance(target, str):
         check_depth(parse(target))
-    if verify_certificate(certificate_from_json(doc)):
+    reason = certificate_problem(certificate_from_json(doc))
+    if reason is None:
         _emit(args, "certificate verified", {"ok": True})
         return 0
-    _emit(args, "certificate rejected", {"ok": False})
+    print(reason, file=sys.stderr)
+    _emit(args, "certificate rejected", {"ok": False, "reason": reason})
     return 1
 
 

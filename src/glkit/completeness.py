@@ -38,29 +38,39 @@ valuation. The truth lemma holds there: every edge is a standard edge,
 since the standard relation is transitive, so a box of a world holds its
 body at every successor; and every negated box keeps its own witness.
 `verify_certificate` re-checks a certificate from first principles
-(frame shape, membership/truth agreement, falsification) by evaluating
-the closure once on the certificate's own relation and comparing each
-world's mask with the truth there.
+through `certcheck`, which imports nothing from glkit and so shares no
+code with the search: given the closure table, the masks, the relation's
+index pairs and the witness's index, it checks the table, that the frame
+is ITF, each world's mask against its column of the closure evaluated on
+the certificate's own relation, and that the witness refutes the target.
+`certificate_problem` gives its reason for a rejection, which names the
+failing world and closure position.
 
 Closure contexts: each target's analysis is one `ClosureContext`, built
 from the target alone. It holds the closure, the decisions and each
 signed member's (closure index, polarity) from the merge that orders the
 signed closure, and, built on first use, the signed closure's Not nodes,
-the engine (truth table and saturated set) and the closure as a
-certificate's shared terms. `closure_context` is the module's one cache,
-an `lru_cache` of the contexts of the 16 most recently used targets
-keyed by the interned formula. `decide`, `World`, `StandardModel` and
-both serializers read the target's cached context, so a target decided,
-written and reloaded in one process is analysed, and its closure table
-built, once. `extend_maximal_consistent` reads the engine of the context
-it is given and adds no entry to the cache.
+the engine (truth table and saturated set), and for certificates the
+printed target, the closure atoms' positions and the closure as shared
+terms. `closure_context` is the module's one cache, an `lru_cache` of
+the contexts of the 16 most recently used targets keyed by the interned
+formula. `decide`, `World`, `StandardModel` and both serializers read
+the target's cached context, so a target decided, written and reloaded
+in one process is analysed, printed and given its closure table once.
+`extend_maximal_consistent` reads the engine of the context it is given
+and adds no entry to the cache.
 
 Serialization: a certificate is a model document plus the target as
 text, its closure as shared terms written from `syntax.closure_steps`,
-the witness, and each world's mask in hex. The writer prints the masks
-the worlds hold. The loader parses the target only and builds mask
-worlds. A theorem verdict and a certificate's round trip build no
-signed closure, and in a fresh process no engine either.
+the witness, and each world's mask in hex. The writer reads the model
+part off `rel` and the masks' atom bits, and the printed target and the
+closure table off the context, where each is built once. The loader
+reads the document's shape through `kripke.model_from_json`, parses the
+target only, builds mask worlds and compares `val` with the masks' atom
+bits as ints. Neither builds a Kripke model: `StandardModel.to_model`
+builds one only when a caller asks. A theorem verdict and a
+certificate's round trip build no signed closure, and in a fresh process
+no engine either.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import kripke
+from . import certcheck, kripke
 from .kripke import Frame, Model, _bits, _cached_field
 from .limits import SizeGuardError
 from .syntax import (
@@ -142,6 +152,16 @@ class ClosureContext:
     @_cached_field
     def engine(self) -> _Engine:
         return _Engine(self)
+
+    @_cached_field
+    def target_text(self) -> str:
+        """The target as `print_formula` prints it, for the writer."""
+        return print_formula(self.target)
+
+    @_cached_field
+    def atom_positions(self) -> tuple[tuple[str, int], ...]:
+        """Each closure atom's name and closure position, by name."""
+        return tuple(sorted((g.name, j) for j, g in enumerate(self.closure) if type(g) is Atom))
 
     @_cached_field
     def closure_terms(self) -> list:
@@ -355,8 +375,8 @@ class StandardModel:
     keeps `context`, its target's cached closure context, found when it
     is built, and the closure mask of each world, which must be a world
     of target (ValueError otherwise). Immutable; equality, hash and repr
-    leave out `context` and the model that `to_model` builds once and
-    keeps."""
+    leave out `context` and the model that `to_model` builds on request
+    and keeps."""
 
     def __init__(self, target: Formula, worlds: tuple[World, ...], rel: tuple[tuple[int, int], ...]):
         if any(w.context.target is not target for w in worlds):
@@ -385,21 +405,19 @@ class StandardModel:
     __delattr__ = __setattr__
 
     def to_model(self) -> Model:
-        """The Kripke model: world i is worlds[i], and an atom holds where
-        it is a member. Built on the first call and kept, so its
-        valuation is a read-only mapping."""
-        m = self._model
-        return m or self._model_on(Frame(frozenset(range(len(self.worlds))), frozenset(self.rel)))
-
-    def _model_on(self, frame: Frame) -> Model:
-        """Keep the model on frame, which must be that of `rel`, with each
-        closure atom true where its mask bit is set."""
-        masks = self._masks
-        atoms = sorted((g.name, j) for j, g in enumerate(self.context.closure) if type(g) is Atom)
-        val = {a: frozenset(i for i, x in enumerate(masks) if x >> j & 1) for a, j in atoms}
-        m = Model(frame, MappingProxyType(val))
-        _set(self, "_model", m)
-        return m
+        """The Kripke model: world i is worlds[i], the frame is `rel`, and
+        each closure atom holds where its mask bit is set. Built on the
+        first call and kept, so its valuation is a read-only mapping.
+        Nothing in deciding, writing, loading or verifying calls it."""
+        if self._model is None:
+            masks = self._masks
+            val = {
+                a: frozenset(i for i, x in enumerate(masks) if x >> j & 1)
+                for a, j in self.context.atom_positions
+            }
+            frame = Frame(frozenset(range(len(masks))), frozenset(self.rel))
+            _set(self, "_model", Model(frame, MappingProxyType(val)))
+        return self._model
 
 
 class Theorem(NamedTuple):
@@ -461,31 +479,24 @@ def decide(f: Formula) -> Verdict:
     return Countermodel(StandardModel(f, worlds, rel), worlds[index[w]])
 
 
-def verify_certificate(v: Countermodel) -> bool:
-    """Re-check a countermodel from first principles, in this order: the
-    frame is ITF; every world holds exactly the closure formulas true at
-    it; and the witness is one of the worlds and falsifies the target (so
-    it contains Not target).
-
-    The closure is evaluated once on the certificate's own model:
-    `kripke._model_masks` gives each closure formula's truth as a mask
-    whose bit i is world i. A world holds exactly the true formulas iff
-    its closure mask equals its column of those masks."""
+def certificate_problem(v: Countermodel) -> str | None:
+    """Why v's certificate fails the re-check, or None when it passes:
+    `certcheck.problem` on the closure table, the masks, the relation and
+    the witness's index (None when the witness is no world of the model).
+    The reason names the failing world and closure position."""
     if not isinstance(v, Countermodel):
         raise TypeError("only countermodel verdicts carry a certificate")
     sm = v.model
-    m = sm.to_model()
-    if not kripke.is_itf(m.frame):
-        return False
-    truth = kripke._model_masks(m, sm.target)
-    for i, x in enumerate(sm._masks):
-        if x != sum((t >> i & 1) << j for j, t in enumerate(truth)):
-            return False
     try:
-        widx = sm.worlds.index(v.witness)
+        witness = sm.worlds.index(v.witness)
     except ValueError:
-        return False
-    return not truth[-1] >> widx & 1
+        witness = None
+    return certcheck.problem(sm.context.closure_terms, sm._masks, sm.rel, witness)
+
+
+def verify_certificate(v: Countermodel) -> bool:
+    """Whether v's certificate passes the re-check of `certificate_problem`."""
+    return certificate_problem(v) is None
 
 
 def consistent(fs: Sequence[Formula]) -> bool:
@@ -529,17 +540,31 @@ def extend_maximal_consistent(ctx: ClosureContext, xs: Iterable[Formula]) -> Wor
 def certificate_to_json(v: Countermodel) -> dict:
     """A model document plus `target`, `closure` (as shared terms), `witness`
     and `world_truth`: per world, a hex mask whose bit i is set iff closure
-    formula i is a member. A witness outside the model raises ValueError."""
+    formula i is a member. World i is named wi, and the model part is what
+    `kripke.model_to_json` writes for `to_model()`, read off `rel` and the
+    masks' atom bits. A witness outside the model raises ValueError."""
     sm = v.model
-    doc = kripke.model_to_json(sm.to_model())
-    doc["target"] = print_formula(sm.target)
-    doc["closure"] = [t.copy() if type(t) is list else t for t in sm.context.closure_terms]
+    ctx, masks = sm.context, sm._masks
     try:
-        doc["witness"] = f"w{sm.worlds.index(v.witness)}"
+        witness = sm.worlds.index(v.witness)
     except ValueError:
         raise ValueError("certificate witness is not a world of the model") from None
-    doc["world_truth"] = {f"w{i}": f"{x:x}" for i, x in enumerate(sm._masks)}
-    return doc
+    n = len(masks)
+    names = [f"w{i}" for i in range(n)]
+    val = {}
+    for a, j in ctx.atom_positions:
+        if held := [nm for nm, x in zip(names, masks) if x >> j & 1]:
+            val[a] = held
+    return {
+        "worlds": names,
+        # Sorted by name, as model_to_json sorts them: w10 before w2.
+        "rel": sorted([names[x], names[y]] for x, y in {*sm.rel} if 0 <= x < n and 0 <= y < n),
+        "val": val,
+        "target": ctx.target_text,
+        "closure": [t.copy() if type(t) is list else t for t in ctx.closure_terms],
+        "witness": names[witness],
+        "world_truth": {nm: f"{x:x}" for nm, x in zip(names, masks)},
+    }
 
 
 def certificate_from_json(doc: Mapping) -> Countermodel:
@@ -576,9 +601,12 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
         extra = next(nm for nm in truth if nm not in names)
         raise ValueError(f"certificate field 'world_truth': undeclared world {extra!r}")
     sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)))
-    derived = sm._model_on(m.frame).val
-    for a in sorted(set(m.val) | set(derived)):
-        if m.val.get(a, frozenset()) != derived.get(a, frozenset()):
+    # Each atom's worlds as an int, from the document and from the masks.
+    column = dict(ctx.atom_positions)
+    for a in sorted(m.val.keys() | column):
+        j = column.get(a)
+        held = 0 if j is None else sum(1 << i for i, w in enumerate(worlds) if w._mask >> j & 1)
+        if held != sum(1 << i for i in m.val.get(a, ())):
             raise ValueError(
                 f"valuation of {a!r} disagrees with the world contents"
             )

@@ -352,6 +352,16 @@ def reference_itf_valid_small(f: Formula, n: int) -> bool:
     return all(valid_on_frame(fr, f) for fr in reference_itf_frames(n))
 
 
+def imp_read_as_or(run):
+    """A stand-in for `kripke._run`, the evaluator that builds the
+    search's truth table, that evaluates every Imp step as Or."""
+
+    def runner(steps, *rest):
+        return run(tuple((Or if c is Imp else c, a, b) for c, a, b in steps), *rest)
+
+    return runner
+
+
 def reference_verify_certificate(v: Countermodel) -> bool:
     """The certificate check read off `kripke.extensions`: each closure
     formula's truth set as a frozenset of worlds, a membership test per

@@ -6,6 +6,7 @@ from glkit import completeness, kripke
 from glkit.cli import main
 from glkit.completeness import certificate_from_json, verify_certificate
 from glkit.limits import MAX_DEPTH
+from helpers import imp_read_as_or
 
 LOB = "Box (Box p --> p) --> Box p"
 
@@ -62,13 +63,27 @@ class TestDecideCommand:
         assert "nested too deeply" in capsys.readouterr().err
 
     def test_failed_recheck_writes_nothing_exit_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(completeness, "verify_certificate", lambda v: False)
+        monkeypatch.setattr(completeness, "certificate_problem", lambda v: "a stand-in reason")
         cert = tmp_path / "out.json"
         assert main(["decide", "Box p --> p", "--cert", str(cert)]) == 4
         assert not cert.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "does not verify" in captured.err
+        assert "does not verify (a stand-in reason)" in captured.err
+
+    def test_wrong_truth_table_caught_by_the_recheck_exit_4(self, tmp_path, capsys, monkeypatch):
+        # The search's evaluator reads p --> p as p || p, so the theorem
+        # gets a countermodel; the checker evaluates the closure itself.
+        completeness.closure_context.cache_clear()
+        monkeypatch.setattr(kripke, "_run", imp_read_as_or(kripke._run))
+        cert = tmp_path / "out.json"
+        try:
+            assert main(["decide", "p --> p", "--cert", str(cert)]) == 4
+        finally:
+            completeness.closure_context.cache_clear()
+        assert not cert.exists()
+        err = capsys.readouterr().err
+        assert "does not verify (world 0, closure position 1: the mask says false" in err
 
     def test_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "frame.dot"
@@ -98,10 +113,12 @@ class TestCheckCert:
         truth[witness] = f"{int(truth[witness], 16) ^ 1 << box_p:x}"
         path = write_model(tmp_path, cert_doc)
         capsys.readouterr()
+        reason = f"world 0, closure position {box_p}: the mask says false, the model true"
+        assert witness == "w0"
         assert main(["check-cert", path]) == 1
-        assert capsys.readouterr().out == "certificate rejected\n"
+        assert capsys.readouterr() == ("certificate rejected\n", reason + "\n")
         assert main(["check-cert", path, "--json"]) == 1
-        assert json.loads(capsys.readouterr().out) == {"ok": False}
+        assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": reason}
 
     def test_missing_world_contents_exit_2(self, tmp_path, capsys, cert_doc):
         del cert_doc["world_truth"]

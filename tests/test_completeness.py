@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from glkit.completeness import (
     Theorem,
     World,
     certificate_from_json,
+    certificate_problem,
     certificate_to_json,
     closure_context,
     consistent,
@@ -47,6 +49,7 @@ from helpers import (
     box_subformula_count,
     formulas,
     holds_on_models,
+    imp_read_as_or,
     random_formula,
     random_guarded_formula,
     random_itf_model,
@@ -666,6 +669,20 @@ class TestVerifyAgainstReference:
         # refutes the target.
         assert seen.get(("witness moved", False), 0) >= 100
 
+    def test_mutant_reasons(self, certificates):
+        # Each kind of mutant is rejected for its own reason.
+        rng = random.Random(12)
+        reasons = {
+            "member flipped": r"^world \d+, closure position \d+: the mask says",
+            "witness moved": r"^world \d+, closure position \d+: the witness does not refute",
+            "transitive edge dropped": r"^the frame is not ITF: world \d+ reaches world \d+",
+            "loop added": r"^the frame is not ITF: world \d+ is its own successor$",
+        }
+        for v in certificates:
+            for kind, bad in certificate_mutants(v, rng):
+                reason = certificate_problem(bad)
+                assert reason is None or re.match(reasons[kind], reason), (kind, reason)
+
     def test_writer_refuses_or_keeps_every_mutant(self, certificates):
         # Every mutant is written, and its reload verifies exactly when
         # the mutant does.
@@ -699,6 +716,31 @@ class TestVerifyAgainstReference:
                 assert verify_certificate(bad) is reference_verify_certificate(bad) is False
         for kind in ("member dropped", "member added", "member appended"):
             assert refused.get(kind, 0) >= 100, kind
+
+
+class TestIndependence:
+    """The checker evaluates the closure itself: a search whose evaluator
+    is wrong still emits countermodels, and they are rejected."""
+
+    def test_wrong_imp_in_the_search_is_caught(self, monkeypatch):
+        texts = ("p --> p", "Box (Box p --> p) --> Box p", "Box p --> Box Box p",
+                 "Box (p && q) --> Box p")
+        theorems = [parse(t) for t in texts]
+        completeness.closure_context.cache_clear()
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(kripke, "_run", imp_read_as_or(kripke._run))
+                for f in theorems:
+                    v = decide(f)
+                    assert isinstance(v, Countermodel), print_formula(f)
+                    reason = certificate_problem(v)
+                    assert reason is not None and "closure position" in reason, reason
+                    assert verify_certificate(v) is False
+                    # A check that evaluates through the same runner is fooled.
+                    assert reference_verify_certificate(v) is True
+        finally:
+            completeness.closure_context.cache_clear()
+        assert all(isinstance(decide(f), Theorem) for f in theorems)
 
 
 class TestTheoremOracle:
@@ -864,6 +906,8 @@ class TestCertificateJson:
             "Not (p && q)",
             "Box Not Box p",
             "(p <-> q) <-> r",
+            # 12 worlds, so the relation sorts w10 before w2.
+            "Box " * 11 + "p",
         ],
     )
     def test_pinned_documents(self, text):
@@ -902,6 +946,19 @@ class TestCertificateJson:
         v2 = certificate_from_json(doc)
         assert v2 == v
         assert verify_certificate(v2) is True
+
+    def test_round_trip_builds_no_kripke_model(self):
+        # The writer and the loader read rel and the masks; to_model builds
+        # the model only on request, and it gives back the document's model.
+        v = decide(parse(RICH))
+        doc = json.loads(json.dumps(certificate_to_json(v)))
+        assert v.model._model is None
+        reloaded = certificate_from_json(doc)
+        assert reloaded.model._model is None
+        assert verify_certificate(reloaded) is True and reloaded.model._model is None
+        m = reloaded.model.to_model()
+        assert {a: [f"w{i}" for i in sorted(s)] for a, s in m.val.items() if s} == doc["val"]
+        assert kripke.model_to_json(m) == {k: doc[k] for k in ("worlds", "rel", "val")}
 
     def test_tampered_valuation_rejected(self):
         v = decide(parse("Box p --> p"))

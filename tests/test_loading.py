@@ -73,7 +73,7 @@ def test_decide_side_commands_load_neither_kernel_nor_bisim(command, files):
         (["parse", "p && q"], set()),
         (["check-model", "MODEL", "Box p"], {"glkit.kripke"}),
         (["frame-check", "MODEL"], {"glkit.kripke"}),
-        (["decide", "Box p --> p"], {"glkit.kripke", "glkit.completeness"}),
+        (["decide", "Box p --> p"], {"glkit.kripke", "glkit.certcheck", "glkit.completeness"}),
     ],
     ids=["parse", "check-model", "frame-check", "decide"],
 )
@@ -106,7 +106,15 @@ def test_kernel_and_bisim_commands_load_their_module(command, module, files):
 def test_completeness_imports_only_syntax_kripke_limits():
     loaded = fresh("import json, glkit.completeness\n"
                    "print(json.dumps([m for m in sys.modules if m.startswith('glkit.')]))")
-    assert set(loaded) == {"glkit.completeness", "glkit.kripke", "glkit.limits", "glkit.syntax"}
+    assert set(loaded) == {
+        "glkit.completeness", "glkit.certcheck", "glkit.kripke", "glkit.limits", "glkit.syntax"
+    }
+
+
+def test_certcheck_imports_no_other_glkit_module():
+    loaded = fresh("import json, glkit.certcheck\n"
+                   "print(json.dumps([m for m in sys.modules if m.startswith('glkit.')]))")
+    assert loaded == ["glkit.certcheck"]
 
 
 def test_every_public_name_is_its_owners_object():
