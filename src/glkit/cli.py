@@ -126,15 +126,13 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    from .completeness import certificate_from_json, certificate_problem
+    from .completeness import _certificate_from_json, certificate_problem
 
-    doc = _load_json(args.cert)
     # The loader orders the target's closure and the verifier evaluates
-    # it on the model, so the depth bound applies before either runs.
-    target = doc.get("target") if isinstance(doc, dict) else None
-    if isinstance(target, str):
-        check_depth(parse(target))
-    reason = certificate_problem(certificate_from_json(doc))
+    # it on the model, so the depth bound applies where the loader parses
+    # the target, its one parse, before either runs.
+    v = _certificate_from_json(_load_json(args.cert), lambda text: check_depth(parse(text)))
+    reason = certificate_problem(v)
     if reason is None:
         _emit(args, "certificate verified", {"ok": True})
         return 0

@@ -21,10 +21,21 @@ it has a saturated successor containing {Box q, Not q} plus every boxed
 member of the world together with its body. That depends only on the
 world's box pattern, and along any successor the pattern grows strictly
 (Box q was absent, and boxes only propagate forward). So the patterns
-are visited from most boxes to fewest, each settled by one AND per
-obligation against the saturated worlds found so far. The strict growth
-is the finite trace of the converse well-foundedness of the frames
-involved.
+are visited from most boxes to fewest: one depth-first walk, from the
+last box to the first and "held" before "not held", takes them in
+decreasing numeric order, each after all of its strict supersets. Down
+the walk one AND per level narrows the worlds with the pattern and the
+worlds its boxes carry on to, and each obligation is checked against
+the saturated worlds found so far when a box is left out and again
+whenever a held box narrows the carried worlds; a subtree in which one
+is unmet is skipped. The strict growth is the finite trace of the
+converse well-foundedness of the frames involved.
+
+Canonical order: two worlds compare as their member lists do, and a
+closure formula comes before its negation, so the lowest closure index
+where their masks differ decides, the world holding that formula first.
+The search picks and orders worlds by their masks and never reads the
+signed closure.
 
 `decide` reports Theorem when no saturated world refutes the target.
 Otherwise the witness is the canonically first saturated refuting world,
@@ -47,14 +58,14 @@ the certificate's own relation, and that the witness refutes the target.
 failing world and closure position.
 
 Closure contexts: each target's analysis is one `ClosureContext`, built
-from the target alone. It holds the closure, the decisions and each
-signed member's (closure index, polarity) from the merge that orders the
-signed closure, and, built on first use, the signed closure's Not nodes,
-the engine (truth table and saturated set), and for certificates the
-printed target, the closure atoms' positions and the closure as shared
-terms. `closure_context` is the module's one cache, an `lru_cache` of
-the contexts of the 16 most recently used targets keyed by the interned
-formula. `decide`, `World`, `StandardModel` and both serializers read
+from the target alone. It holds the closure and the decisions, and,
+built on first use, each signed member's (closure index, polarity) from
+the merge that orders the signed closure, the signed closure's Not
+nodes, the engine (truth table and saturated set), and for certificates
+the printed target, the closure atoms' positions and the closure as
+shared terms. `closure_context` is the module's one cache, an
+`lru_cache` of the contexts of the 16 most recently used targets keyed
+by the interned formula. `decide`, `World`, `StandardModel` and both serializers read
 the target's cached context, so a target decided, written and reloaded
 in one process is analysed, printed and given its closure table once.
 `extend_maximal_consistent` reads the engine of the context it is given
@@ -68,15 +79,15 @@ closure table off the context, where each is built once. The loader
 reads the document's shape through `kripke.model_from_json`, parses the
 target only, builds mask worlds and compares `val` with the masks' atom
 bits as ints. Neither builds a Kripke model: `StandardModel.to_model`
-builds one only when a caller asks. A theorem verdict and a
-certificate's round trip build no signed closure, and in a fresh process
-no engine either.
+builds one only when a caller asks. A verdict and a certificate's
+round trip build neither the signed closure nor its merge, and in a
+fresh process the round trip builds no engine either.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress
 from types import MappingProxyType
@@ -109,13 +120,12 @@ _set = object.__setattr__
 
 class ClosureContext:
     """The analysis of one target, built from the target alone: its
-    subformula closure, its decision formulas (the members whose truth
-    value is free: atoms and boxed formulas; all other members are
-    determined by them) and `pairs`, each signed member's closure index
-    and polarity from the merge that orders the signed closure. The
-    signed closure and the engine are built on first use. Immutable; two
-    contexts are equal iff they have the same target. A target that is
-    not a Formula raises TypeError."""
+    subformula closure and its decision formulas (the members whose
+    truth value is free: atoms and boxed formulas; all other members are
+    determined by them). `pairs`, the signed closure and the engine are
+    built on first use; deciding reads no `pairs`, so a verdict never
+    runs the merge. Immutable; two contexts are equal iff they have the
+    same target. A target that is not a Formula raises TypeError."""
 
     def __init__(self, target: Formula):
         if not isinstance(target, Formula):
@@ -124,7 +134,6 @@ class ClosureContext:
         _set(self, "target", target)
         _set(self, "closure", closure)
         _set(self, "decisions", tuple(q for q in closure if isinstance(q, (Atom, Box))))
-        _set(self, "pairs", _signed(target))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -141,6 +150,12 @@ class ClosureContext:
         raise AttributeError(f"closure contexts are immutable: cannot set {name!r}")
 
     __delattr__ = __setattr__
+
+    @_cached_field
+    def pairs(self) -> tuple[tuple[int, bool], ...]:
+        """Each signed member's closure index and polarity, from the merge
+        that orders the signed closure."""
+        return _signed(self.target)
 
     @_cached_field
     def signed_closure(self) -> tuple[Formula, ...]:
@@ -245,9 +260,8 @@ class _Engine:
 
     A world is its decision assignment b: bit b of `truth[i]` is the
     truth of closure member i under b, and bit b of `saturated` says
-    whether that world is saturated. `context.pairs[j]` is the closure
-    index and polarity of signed member j, so that member is in world b
-    iff bit b of its closure formula's truth equals its polarity.
+    whether that world is saturated. The engine reads the context's
+    closure and decisions only, never the signed closure's merge.
     """
 
     def __init__(self, ctx: ClosureContext):
@@ -282,47 +296,64 @@ class _Engine:
         self.saturated = self._saturate()
 
     def _saturate(self) -> int:
-        full, boxes = self.full, self.boxes
+        """The saturated worlds, from one depth-first walk over the box
+        patterns (bit j set iff box j is held) in decreasing numeric
+        order: from the last box to the first, "box j held" before "box
+        j not held". A strict superset of a pattern is numerically larger,
+        so it is settled first. Down the levels, `keep` is the AND of
+        `carry` over the boxes held so far, `here` the worlds with the
+        pattern so far, and `met` holds, per box not held, the saturated
+        worlds meeting its obligation; a pattern is saturated when `keep`
+        meets each of them."""
+        full = self.full
+        levels = [(has, full ^ has, carry, need) for _, has, carry, need in self.boxes]
+        if not levels:
+            return full
         sat = 0
-        # A successor asserts strictly more boxes, so its pattern comes
-        # earlier in this order and is already settled.
-        for pattern in sorted(range(1 << len(boxes)), key=int.bit_count, reverse=True):
-            keep, here, needs = full, full, []
-            for j, (_, has, carry, need) in enumerate(boxes):
-                if pattern >> j & 1:
-                    keep &= carry
-                    here &= has
+
+        def walk(j: int, keep: int, here: int, met: tuple[int, ...]) -> None:
+            nonlocal sat
+            has, lacks, carry, need = levels[j]
+            # Box j held: keep narrows, and every pattern below has a keep
+            # inside the narrowed one, so an obligation it now misses
+            # fails the whole subtree.
+            held = keep & carry
+            for m in met:
+                if not held & m:
+                    break
+            else:
+                if j:
+                    walk(j - 1, held, here & has, met)
                 else:
-                    here &= full ^ has
-                    needs.append(need)
-            if all(keep & need & sat for need in needs):
-                sat |= here
+                    sat |= here & has
+            # Box j not held. Only worlds holding box j meet need, and
+            # within keep they also hold every box held so far: their
+            # patterns are strict supersets of every pattern below, all
+            # settled now that the held branch has run. So keep & need &
+            # sat is final, keep only shrinks below, and when it is
+            # already 0 no pattern of the subtree is saturated.
+            m = need & sat
+            if keep & m:
+                if j:
+                    walk(j - 1, keep, here & lacks, (*met, m))
+                else:
+                    sat |= here & lacks
+
+        walk(len(levels) - 1, full, full, ())
         return sat
 
     def first(self, candidates: int) -> int:
-        """The canonically first world of a nonempty set of worlds.
-
-        Two worlds compare as their sorted member lists do, so the first
-        formula in canonical order that one holds and the other lacks
-        decides: the world holding it comes first. The walk therefore
-        goes through the signed closure in canonical order and keeps the
-        candidates holding each formula whenever some do."""
-        full, truth = self.full, self.truth
-        for i, positive in self.context.pairs:
-            narrowed = candidates & (truth[i] if positive else full ^ truth[i])
+        """The canonically first world of a nonempty set of worlds: the
+        walk goes through the closure in order and keeps the candidates
+        holding each formula whenever some do (see `_canonical_key`),
+        until one is left."""
+        for t in self.truth:
+            narrowed = candidates & t
             if narrowed:
                 candidates = narrowed
+                if not candidates & (candidates - 1):
+                    break
         return candidates.bit_length() - 1
-
-    def positions(self, b: int) -> tuple[int, ...]:
-        """The signed-closure positions of world b's members. Worlds
-        compare as these tuples do exactly as their member lists do in
-        canonical order."""
-        truth = self.truth
-        return tuple(
-            j for j, (i, positive) in enumerate(self.context.pairs)
-            if (truth[i] >> b & 1) == positive
-        )
 
     def mask(self, b: int) -> int:
         """The closure mask of world b."""
@@ -332,10 +363,23 @@ class _Engine:
         return self.context.world(self.mask(b))
 
 
+def _canonical_key(w: World) -> str:
+    """Sorts the worlds of one target in canonical order. Two worlds
+    compare as their member lists do, so the first signed member that
+    one holds and the other lacks decides, and the world holding it comes
+    first. A closure formula comes before its negation, and the closure
+    formulas come in canonical order, so that member is the closure
+    formula of lowest index where the masks differ. The key is the
+    mask's complement as binary digits from bit 0 up: a held formula
+    reads "0" and sorts first."""
+    n = len(w.context.closure)
+    return f"{((1 << n) - 1) ^ w._mask:0{n}b}"[::-1]
+
+
 def hintikka_worlds(ctx: ClosureContext) -> tuple[World, ...]:
     """Every world over the signed closure, in canonical order."""
-    eng = ctx.engine
-    return tuple(map(eng.world, sorted(range(1 << len(ctx.decisions)), key=eng.positions)))
+    worlds = map(ctx.engine.world, range(1 << len(ctx.decisions)))
+    return tuple(sorted(worlds, key=_canonical_key))
 
 
 def standard_rel(ctx: ClosureContext, w: World, x: World) -> bool:
@@ -437,14 +481,16 @@ def decide(f: Formula) -> Verdict:
 
     The context's engine holds the truth table (one int per closure
     formula, whose bit b is its truth under decision assignment b) and
-    the saturated set from one sweep over box patterns, most boxes first.
-    f is a theorem iff no saturated world refutes it. Otherwise the
-    witness is the canonically first saturated refuting world, and the
-    certificate is the submodel it selects: from the witness on, each
-    emitted world x gets, for each Not (Box q) it holds, its canonically
-    first saturated standard successor holding Box q and Not q. The
-    worlds are listed in canonical order and related by the transitive
-    closure of those selected edges."""
+    the saturated set from one depth-first walk over the box patterns,
+    in decreasing numeric order, that skips each subtree in which an
+    obligation is already unmet. f is a theorem iff no saturated world
+    refutes it. Otherwise the witness is the canonically first saturated
+    refuting world, and the certificate is the submodel it selects: from
+    the witness on, each emitted world x gets, for each Not (Box q) it
+    holds, its canonically first saturated standard successor holding
+    Box q and Not q. The worlds are listed in canonical order, read off
+    their masks, and related by the transitive closure of those selected
+    edges. Neither verdict builds the context's `pairs`."""
     eng = closure_context(f).engine
     refuting = eng.saturated & ~eng.truth[-1]
     if not refuting:
@@ -463,7 +509,8 @@ def decide(f: Formula) -> Verdict:
                 needs.append(need)
         selected[x] = ys = {eng.first(keep & need) for need in needs}
         todo += ys
-    order = sorted(selected, key=eng.positions)
+    worlds = {x: eng.world(x) for x in selected}
+    order = sorted(selected, key=lambda x: _canonical_key(worlds[x]))
     index = {b: i for i, b in enumerate(order)}
     # A successor holds strictly more boxes, so by decreasing box count
     # every world comes after its successors and their reach is known.
@@ -475,8 +522,7 @@ def decide(f: Formula) -> Verdict:
             r |= reach[y] | 1 << index[y]
         reach[x] = r
     rel = tuple((index[x], j) for x in order for j in _bits(reach[x]))
-    worlds = tuple(map(eng.world, order))
-    return Countermodel(StandardModel(f, worlds, rel), worlds[index[w]])
+    return Countermodel(StandardModel(f, tuple(worlds[x] for x in order), rel), worlds[w])
 
 
 def certificate_problem(v: Countermodel) -> str | None:
@@ -571,6 +617,12 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
     """Load a certificate as `certificate_to_json` writes it. `closure`
     is compared with the parsed target's `closure_terms`, not parsed.
     A document of the wrong shape raises ValueError naming the bad field."""
+    return _certificate_from_json(doc, parse)
+
+
+def _certificate_from_json(doc: Mapping, read: Callable[[str], Formula]) -> Countermodel:
+    """`certificate_from_json` with `read` in place of `parse` for the
+    target, its one parse, so a caller can bound the formula there."""
     m, names = kripke.model_from_json(doc)
     target, witness, closure, truth = (
         doc.get(key) for key in ("target", "witness", "closure", "world_truth")
@@ -581,7 +633,7 @@ def certificate_from_json(doc: Mapping) -> Countermodel:
         raise ValueError("certificate field 'witness': expected a world name")
     if not isinstance(truth, Mapping):
         raise ValueError("certificate field 'world_truth': expected an object of hex masks")
-    f = parse(target)
+    f = read(target)
     ctx = closure_context(f)
     # An equal table may still hold true or 1.0 for a position.
     if closure != ctx.closure_terms or any(

@@ -1,20 +1,20 @@
-"""Shared generators for the test suite: hypothesis strategies, a
-seeded random-formula/model sampler used by the acceptance criteria, the
-recursive reference evaluator the bit-sliced one is checked against,
-the brute-force saturation that `decide`'s box-pattern sweep is checked
-against, the deletion algorithm that bisimulation by partition
-refinement is checked against, the recursive substitution that the
-compiled schema programs are checked against, the re-sorted signed
-closure that the merged one is checked against, the two-pass proof
-writer that the single-pass one is checked against, random
-irreflexive transitive models, the semantic oracle for theorem
-verdicts, the sweep over every labelled ITF frame that the rooted-frame
-oracle is checked against, and the `extensions`-based certificate
-check that the mask-based one is checked against, and the edge-scan
-frame predicates that the mask-based ones are checked against, the
-greedy completion by `consistent` that the engine's extension is checked
-against, and the selection from worlds and the standard relation that
-`decide`'s countermodels are checked against."""
+"""Shared generators for the test suite: hypothesis strategies, a seeded
+random-formula/model sampler used by the acceptance criteria, the
+recursive reference evaluator the bit-sliced one is checked against, the
+brute-force saturation and the popcount-ordered pattern sweep that
+`decide`'s depth-first box-pattern walk is checked against, the deletion
+algorithm that bisimulation by partition refinement is checked against,
+the recursive substitution that the compiled schema programs are checked
+against, the re-sorted signed closure that the merged one is checked
+against, the two-pass proof writer that the single-pass one is checked
+against, random irreflexive transitive models, the semantic oracle for
+theorem verdicts, the sweep over every labelled ITF frame that the
+rooted-frame oracle is checked against, and the `extensions`-based
+certificate check that the mask-based one is checked against, and the
+edge-scan frame predicates that the mask-based ones are checked against,
+the greedy completion by `consistent` that the engine's extension is
+checked against, and the selection from worlds and the standard relation
+that `decide`'s countermodels are checked against."""
 
 from __future__ import annotations
 
@@ -208,6 +208,30 @@ def reference_saturated(ctx: ClosureContext) -> frozenset[World]:
         return memo[w]
 
     return frozenset(w for w in ws if saturated(w))
+
+
+def reference_pattern_sweep(ctx: ClosureContext) -> int:
+    """The saturated set of ctx's engine by the popcount-ordered sweep:
+    every box pattern, most boxes first, each settled by ANDing all its
+    boxes from scratch and one AND per obligation against the saturated
+    worlds found so far."""
+    eng = ctx.engine
+    full, boxes = eng.full, eng.boxes
+    sat = 0
+    # A successor asserts strictly more boxes, so its pattern comes
+    # earlier in this order and is already settled.
+    for pattern in sorted(range(1 << len(boxes)), key=int.bit_count, reverse=True):
+        keep, here, needs = full, full, []
+        for j, (_, has, carry, need) in enumerate(boxes):
+            if pattern >> j & 1:
+                keep &= carry
+                here &= has
+            else:
+                here &= full ^ has
+                needs.append(need)
+        if all(keep & need & sat for need in needs):
+            sat |= here
+    return sat
 
 
 def reference_extend_maximal_consistent(ctx: ClosureContext, xs: Iterable[Formula]) -> World:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from glkit import completeness, kripke
+from glkit import cli, completeness, kripke, syntax
 from glkit.cli import main
 from glkit.completeness import certificate_from_json, verify_certificate
 from glkit.limits import MAX_DEPTH
@@ -147,6 +147,24 @@ class TestCheckCert:
         capsys.readouterr()
         assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 3
         assert "nested too deeply" in capsys.readouterr().err
+
+    def test_unparsable_target_exit_2(self, tmp_path, capsys, cert_doc):
+        cert_doc["target"] = "Box p -->"
+        capsys.readouterr()
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_target_parsed_once(self, tmp_path, monkeypatch, cert_doc):
+        # The depth bound and the loader share one parse of the target.
+        calls = []
+        for module in (cli, completeness, syntax):
+            def counted(text, real=module.parse):
+                calls.append(text)
+                return real(text)
+
+            monkeypatch.setattr(module, "parse", counted)
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 0
+        assert calls == [cert_doc["target"]]
 
 
 class TestCheckModel:

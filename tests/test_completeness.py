@@ -54,6 +54,7 @@ from helpers import (
     random_guarded_formula,
     random_itf_model,
     reference_extend_maximal_consistent,
+    reference_pattern_sweep,
     reference_saturated,
     reference_selected_countermodel,
     reference_signed_closure,
@@ -257,8 +258,9 @@ class TestAgainstReference:
             assert v == reference_selected_countermodel(ctx.target), print_formula(ctx.target)
 
     def test_worlds_are_ordered_by_their_member_lists(self, cases):
-        # Pins the engine's position order and `first` (through the
-        # witness test above) to the canonical order of member lists.
+        # Pins the mask order of `hintikka_worlds` and `decide`, and
+        # `first` (through the witness test above), to the canonical
+        # order of member lists.
         for ctx, _ in cases:
             ws = hintikka_worlds(ctx)
             assert len(set(ws)) == 1 << len(ctx.decisions)
@@ -335,12 +337,14 @@ class TestLargeChains:
         assert verify_certificate(reloaded) is True
 
     def test_k14_theorem_builds_no_context(self):
-        # The engine reads the context's closure, decisions and pairs only,
-        # so a theorem verdict makes no Not node of the signed closure.
+        # The engine reads the context's closure and decisions only, so a
+        # theorem verdict runs no merge and makes no Not node of the
+        # signed closure.
         f = _chain(14, True)
         completeness.closure_context.cache_clear()
         assert isinstance(decide(f), Theorem)
-        assert "signed_closure" not in vars(completeness.closure_context(f))
+        ctx = completeness.closure_context(f)
+        assert "pairs" not in vars(ctx) and "signed_closure" not in vars(ctx)
 
     def test_context_of_another_target_rejected(self):
         v = decide(_chain(6, False))
@@ -357,6 +361,77 @@ class TestLargeChains:
         assert len({*v.model.worlds}) == len(v.model.worlds)
         assert all("members" not in vars(w) for w in v.model.worlds)
         assert "signed_closure" not in vars(completeness.closure_context(f))
+
+
+class TestPatternSweep:
+    """The depth-first walk over box patterns gives the saturated set of
+    the popcount-ordered sweep."""
+
+    def test_box_towers(self):
+        for n in range(2, 12):
+            ctx = closure_context(parse("Box " * n + "p --> Box p"))
+            assert ctx.engine.saturated == reference_pattern_sweep(ctx), n
+
+    @pytest.mark.parametrize("k", range(6, 15, 2))
+    def test_chain_rungs(self, k):
+        for theorem in (True, False):
+            ctx = closure_context(_chain(k, theorem))
+            assert ctx.engine.saturated == reference_pattern_sweep(ctx), theorem
+
+    def test_random_formulas(self):
+        # 500 formulas, about as many with each count of boxes from 0 to 8.
+        rng = random.Random(2424)
+        drawn = dict.fromkeys(range(9), 0)
+        while sum(drawn.values()) < 500:
+            f = random_formula(rng, 8, ("p", "q", "r"))
+            b = box_subformula_count(f)
+            if drawn.get(b, 56) < 56:
+                drawn[b] += 1
+                ctx = closure_context(f)
+                assert ctx.engine.saturated == reference_pattern_sweep(ctx), print_formula(f)
+
+
+def _members_by_mask(ctx: ClosureContext, w: World) -> tuple:
+    """w's members read off its mask and the re-sorted signed closure."""
+    index = {g: i for i, g in enumerate(ctx.closure)}
+    return tuple(
+        s for s in reference_signed_closure(ctx.closure)
+        if (w._mask >> index[s] & 1 if s in index else not w._mask >> index[s.arg] & 1)
+    )
+
+
+class TestLazyPairs:
+    """`ClosureContext.pairs`, the merge that orders the signed closure,
+    is built on first use; deciding never reads it (see
+    `test_k14_theorem_builds_no_context` and
+    `test_round_trip_derives_no_members`)."""
+
+    def test_refutation_members_build_it(self):
+        f = parse(RICH)
+        completeness.closure_context.cache_clear()
+        v = decide(f)
+        ctx = closure_context(f)
+        assert "pairs" not in vars(ctx)
+        assert [w.members for w in v.model.worlds] == [
+            _members_by_mask(ctx, w) for w in v.model.worlds
+        ]
+        assert "pairs" in vars(ctx)
+        assert v == reference_selected_countermodel(f)
+
+    def test_hintikka_worlds_members_build_it(self):
+        ctx = ClosureContext(parse("Box (p --> Box q) --> Not Box p"))
+        ws = hintikka_worlds(ctx)
+        assert "pairs" not in vars(ctx)
+        assert [w.members for w in ws] == [_members_by_mask(ctx, w) for w in ws]
+        assert "pairs" in vars(ctx)
+
+    def test_extension_builds_it(self):
+        f = parse("Box (p --> Box q) --> Not Box p")
+        seed = [Not(f), Not(q)]
+        ctx = ClosureContext(f)
+        m = extend_maximal_consistent(ctx, seed)
+        assert "pairs" in vars(ctx)
+        assert m == reference_extend_maximal_consistent(closure_context(f), seed)
 
 
 class TestMaskWorlds:
@@ -380,7 +455,8 @@ class TestMaskWorlds:
             assert verify_certificate(reloaded) is True
             for w in (*v.model.worlds, *reloaded.model.worlds):
                 assert "members" not in vars(w)
-            assert "signed_closure" not in vars(completeness.closure_context(f))
+            ctx = completeness.closure_context(f)
+            assert "pairs" not in vars(ctx) and "signed_closure" not in vars(ctx)
 
     def test_equal_to_the_world_of_its_members(self):
         for f in self.refutable():
