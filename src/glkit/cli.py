@@ -66,7 +66,8 @@ def _cmd_decide(args) -> int:
     if isinstance(verdict, completeness.Theorem):
         _emit(args, "theorem", {"verdict": "theorem"})
         return 0
-    cert = completeness.certificate_to_json(verdict)
+    # Only --cert and --json read the certificate document.
+    cert = completeness.certificate_to_json(verdict) if args.cert or args.json else None
     if args.cert:
         text = json.dumps(cert, indent=2) + "\n"
         problem = None

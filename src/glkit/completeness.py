@@ -59,13 +59,14 @@ failing world and closure position.
 
 Closure contexts: each target's analysis is one `ClosureContext`, built
 from the target alone. It holds the closure and the decisions, and,
-built on first use, each signed member's (closure index, polarity) from
-the merge that orders the signed closure, the signed closure's Not
-nodes, the engine (truth table and saturated set), and for certificates
-the printed target, the closure atoms' positions and the closure as
-shared terms. `closure_context` is the module's one cache, an
-`lru_cache` of the contexts of the 16 most recently used targets keyed
-by the interned formula. `decide`, `World`, `StandardModel` and both serializers read
+built on first use, the signed closure (the closure and its negations,
+put in canonical order by `syntax.canonical_order`), each signed
+member's (closure index, polarity) read off it, the engine (truth table
+and saturated set), and for certificates the printed target, the
+closure atoms' positions and the closure as shared terms.
+`closure_context` is the module's one cache, an `lru_cache` of the
+contexts of the 16 most recently used targets keyed by the interned
+formula. `decide`, `World`, `StandardModel` and both serializers read
 the target's cached context, so a target decided, written and reloaded
 in one process is analysed, printed and given its closure table once.
 `extend_maximal_consistent` reads the engine of the context it is given
@@ -76,12 +77,14 @@ text, its closure as shared terms written from `syntax.closure_steps`,
 the witness, and each world's mask in hex. The writer reads the model
 part off `rel` and the masks' atom bits, and the printed target and the
 closure table off the context, where each is built once. The loader
-reads the document's shape through `kripke.model_from_json`, parses the
-target only, builds mask worlds and compares `val` with the masks' atom
-bits as ints. Neither builds a Kripke model: `StandardModel.to_model`
-builds one only when a caller asks. A verdict and a certificate's
-round trip build neither the signed closure nor its merge, and in a
-fresh process the round trip builds no engine either.
+checks the model part's shape with `kripke.model_from_json`, which
+builds a short-lived Kripke `Model` of which the loader keeps only the
+relation and the valuation; it parses the target only, builds mask
+worlds and compares `val` with the masks' atom bits as ints. The writer
+builds no Kripke model, and `StandardModel` builds one only through
+`to_model()`, when a caller asks. A verdict and a certificate's round
+trip build neither the signed closure nor `pairs`, and in a fresh
+process the round trip builds no engine either.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ from .syntax import (
     Formula,
     Not,
     _CONSTANT_NAMES,
-    _signed,
+    canonical_order,
     closure_steps,
     conjlist,
     parse,
@@ -122,10 +125,10 @@ class ClosureContext:
     """The analysis of one target, built from the target alone: its
     subformula closure and its decision formulas (the members whose
     truth value is free: atoms and boxed formulas; all other members are
-    determined by them). `pairs`, the signed closure and the engine are
-    built on first use; deciding reads no `pairs`, so a verdict never
-    runs the merge. Immutable; two contexts are equal iff they have the
-    same target. A target that is not a Formula raises TypeError."""
+    determined by them). The signed closure, `pairs` and the engine are
+    built on first use; deciding reads neither of the first two.
+    Immutable; two contexts are equal iff they have the same target. A
+    target that is not a Formula raises TypeError."""
 
     def __init__(self, target: Formula):
         if not isinstance(target, Formula):
@@ -152,17 +155,22 @@ class ClosureContext:
     __delattr__ = __setattr__
 
     @_cached_field
-    def pairs(self) -> tuple[tuple[int, bool], ...]:
-        """Each signed member's closure index and polarity, from the merge
-        that orders the signed closure."""
-        return _signed(self.target)
-
-    @_cached_field
     def signed_closure(self) -> tuple[Formula, ...]:
         """The subformulas of the target and their negations, in canonical
         order; a negation that is itself a subformula is listed once."""
         closure = self.closure
-        return tuple(closure[i] if positive else Not(closure[i]) for i, positive in self.pairs)
+        return canonical_order((*closure, *map(Not, closure)))
+
+    @_cached_field
+    def pairs(self) -> tuple[tuple[int, bool], ...]:
+        """Each signed member's closure index i and polarity: the member is
+        closure[i] when the polarity is True and Not closure[i] when it
+        is False. A member that is in the closure is read positively."""
+        index = {q: i for i, q in enumerate(self.closure)}
+        return tuple(
+            (index[s], True) if s in index else (index[s.arg], False)
+            for s in self.signed_closure
+        )
 
     @_cached_field
     def engine(self) -> _Engine:
@@ -261,7 +269,7 @@ class _Engine:
     A world is its decision assignment b: bit b of `truth[i]` is the
     truth of closure member i under b, and bit b of `saturated` says
     whether that world is saturated. The engine reads the context's
-    closure and decisions only, never the signed closure's merge.
+    closure and decisions only, never the signed closure.
     """
 
     def __init__(self, ctx: ClosureContext):

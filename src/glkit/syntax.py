@@ -36,9 +36,8 @@ reserved words Not, Box, True, False.
 
 A fixed total order (`canonical_key`) makes every enumeration in the
 package deterministic. `subformulas` lists a closure in that order, and
-`_signed` merges it with its negations as (closure index, polarity)
-pairs, from which `completeness.ClosureContext` reads the signed
-closure. The pass that orders a closure also writes its program,
+`canonical_order` puts any set of formulas in it, such as a closure and
+its negations. The pass that orders a closure also writes its program,
 `closure_steps`, which every evaluator in the package runs and from
 which a certificate writes the closure as shared terms; the node keeps
 both, freed with it.
@@ -349,39 +348,6 @@ def closure_steps(f: Formula) -> tuple[tuple, ...]:
     for an atom, a is its name. Children come before their parents, so
     one pass evaluates the closure bottom-up. Computed once, kept on f."""
     return _closure(f)[1]
-
-
-def _signed(f: Formula) -> tuple[tuple[int, bool], ...]:
-    """For each member of the signed closure of f, in canonical order,
-    its closure index i and polarity: the member is subformulas(f)[i]
-    when the polarity is True and its negation when it is False.
-
-    The closure is already in canonical order, and so are the negations
-    taken in closure order, since Not q ranks by q's rank. The result is
-    a merge of these two sorted runs on (size, tag, rank of the argument
-    for Not, own rank otherwise); a member Not q of the closure meets its
-    twin from the negations there and is kept once, as a closure
-    member. No Not node is built."""
-    closure = subformulas(f)
-    not_tag = _TAG[Not]
-    keys = [
-        (g.size, not_tag, a) if cls is Not else (g.size, _TAG[cls], i)
-        for i, (g, (cls, a, _)) in enumerate(zip(closure, closure_steps(f)))
-    ]
-    pairs: list[tuple[int, bool]] = []
-    j, n = 0, len(closure)
-    for i, q in enumerate(closure):
-        negation = (q.size + 1, not_tag, i)
-        while j < n and keys[j] < negation:
-            pairs.append((j, True))
-            j += 1
-        if j < n and keys[j] == negation:
-            pairs.append((j, True))
-            j += 1
-        else:
-            pairs.append((i, False))
-    # Not f is larger than every member of the closure, so none is left.
-    return tuple(pairs)
 
 
 def canonical_order(fs: Iterable[Formula]) -> tuple[Formula, ...]:

@@ -5,10 +5,10 @@ brute-force saturation and the popcount-ordered pattern sweep that
 `decide`'s depth-first box-pattern walk is checked against, the deletion
 algorithm that bisimulation by partition refinement is checked against,
 the recursive substitution that the compiled schema programs are checked
-against, the re-sorted signed closure that the merged one is checked
-against, the two-pass proof writer that the single-pass one is checked
-against, random irreflexive transitive models, the semantic oracle for
-theorem verdicts, the sweep over every labelled ITF frame that the
+against, the re-sorted signed closure that `ClosureContext.signed_closure`
+is checked against, the two-pass proof writer that the single-pass one
+is checked against, random irreflexive transitive models, the semantic
+oracle for theorem verdicts, the sweep over every labelled ITF frame that the
 rooted-frame oracle is checked against, and the `extensions`-based
 certificate check that the mask-based one is checked against, and the
 edge-scan frame predicates that the mask-based ones are checked against,

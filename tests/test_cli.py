@@ -90,6 +90,27 @@ class TestDecideCommand:
         assert main(["decide", "Box p --> p", "--dot", str(dot)]) == 1
         assert dot.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("flags, calls", [((), 0), (("--json",), 1), (("--cert", "FILE"), 1)])
+    def test_certificate_built_only_when_used(self, tmp_path, capsys, monkeypatch, flags, calls):
+        real, built = completeness.certificate_to_json, []
+
+        def counted(v):
+            built.append(v)
+            return real(v)
+
+        monkeypatch.setattr(completeness, "certificate_to_json", counted)
+        cert = tmp_path / "out.json"
+        argv = [str(cert) if flag == "FILE" else flag for flag in flags]
+        assert main(["decide", "Box p --> p", *argv]) == 1
+        assert len(built) == calls
+        assert cert.exists() == ("FILE" in flags)
+        out = capsys.readouterr().out
+        if "--json" in flags:
+            expected = real(completeness.decide(syntax.parse("Box p --> p")))
+            assert json.loads(out) == {"verdict": "non-theorem", "certificate": expected}
+        else:
+            assert out == "non-theorem\n"
+
 
 @pytest.fixture
 def cert_doc(tmp_path):

@@ -338,8 +338,8 @@ class TestLargeChains:
 
     def test_k14_theorem_builds_no_context(self):
         # The engine reads the context's closure and decisions only, so a
-        # theorem verdict runs no merge and makes no Not node of the
-        # signed closure.
+        # theorem verdict builds neither `pairs` nor the signed closure
+        # and makes none of its Not nodes.
         f = _chain(14, True)
         completeness.closure_context.cache_clear()
         assert isinstance(decide(f), Theorem)
@@ -401,8 +401,8 @@ def _members_by_mask(ctx: ClosureContext, w: World) -> tuple:
 
 
 class TestLazyPairs:
-    """`ClosureContext.pairs`, the merge that orders the signed closure,
-    is built on first use; deciding never reads it (see
+    """`ClosureContext.pairs`, read off the signed closure, is built on
+    first use; deciding never reads it (see
     `test_k14_theorem_builds_no_context` and
     `test_round_trip_derives_no_members`)."""
 
@@ -473,6 +473,27 @@ class TestMaskWorlds:
         reloaded = certificate_from_json(certificate_to_json(v))
         assert reloaded.model.worlds == v.model.worlds
         assert all("members" not in vars(w) for w in (*v.model.worlds, *reloaded.model.worlds))
+
+    @pytest.mark.parametrize(
+        "mask, members",
+        [
+            (0, "Not Not p ; Not (Not p --> p)"),
+            (1, "p ; Not Not p ; Not (Not p --> p)"),
+            (2, "Not p ; Not (Not p --> p)"),
+            (3, "p ; Not p ; Not (Not p --> p)"),
+            (4, "Not Not p ; Not p --> p"),
+            (5, "p ; Not Not p ; Not p --> p"),
+            (6, "Not p ; Not p --> p"),
+            (7, "p ; Not p ; Not p --> p"),
+        ],
+    )
+    def test_members_of_every_mask(self, mask, members):
+        # The loader takes any mask below 2**n, Hintikka world or not.
+        # Not p is a closure member, so it is listed once, at its own
+        # position: held when bit 1 is set, and never as p's negation.
+        ctx = ClosureContext(parse("Not p --> p"))
+        assert [print_formula(g) for g in ctx.closure] == ["p", "Not p", "Not p --> p"]
+        assert " ; ".join(map(print_formula, ctx.world(mask).members)) == members
 
 
 class TestDecide:

@@ -144,7 +144,8 @@ class TestPrint:
 
 
 class TestSignedSubformulas:
-    # The last four hold negations already, which the merge keeps once.
+    # The last four hold negations already, which the signed closure keeps
+    # once.
     @pytest.mark.parametrize(
         "text",
         [*PINNED, "Not p", "Not Not p", "Not p && Not Not p", "Box Not Not Box Not p --> Not p"],
