@@ -22,7 +22,6 @@ compiled the same way on first use.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from functools import cached_property
 from typing import NamedTuple
 
 from .limits import SizeGuardError
@@ -37,6 +36,9 @@ from .syntax import (
     Imp,
     Not,
     Or,
+    _Record,
+    _cached_field,
+    _set,
     children,
     closure_steps,
     conjlist,
@@ -743,44 +745,32 @@ def conjlist_map_box_proof(fs: Sequence[Formula]) -> Proof:
 # Lemma catalogue
 
 
-class LemmaInfo:
+class LemmaInfo(_Record):
     """A catalogue entry. `text` states the lemma in the concrete syntax
     over the atoms `params`, which stand for the formula arguments in
     order. `params` is None for the one lemma over a formula list
     (length <= 8), whose text is informal. Immutable."""
 
+    _fields = ("name", "params", "text", "build")
+
     def __init__(self, name: str, params: tuple[str, ...] | None, text: str,
                  build: Callable[..., int]):
-        self.__dict__.update(name=name, params=params, text=text, build=build)
-
-    def _key(self) -> tuple:
-        return self.name, self.params, self.text, self.build
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "LemmaInfo(name={!r}, params={!r}, text={!r}, build={!r})".format(*self._key())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"lemma entries are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "text", text)
+        _set(self, "build", build)
 
     @property
     def arity(self) -> int | None:
         return None if self.params is None else len(self.params)
 
-    @cached_property
+    @_cached_field
     def statement(self) -> Formula:
         """The statement over the parameter atoms, parsed on first use;
         the list lemma, whose text is informal, has none."""
         return parse(self.text)
 
-    @cached_property
+    @_cached_field
     def program(self) -> _Program:
         """The statement compiled over `params`, on first use."""
         return _compile(self.params, self.statement)

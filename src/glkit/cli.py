@@ -182,13 +182,13 @@ def _cmd_bisim(args) -> int:
 def _cmd_frame_check(args) -> int:
     from . import kripke
 
-    m, _ = kripke.model_from_json(_load_json(args.model))
+    m, names = kripke.model_from_json(_load_json(args.model))
     rep = kripke.frame_report(m.frame)
     fields = rep._asdict()
     # is_itf's conjuncts, read off the report instead of worked out again.
     itf = rep.nonempty and rep.relation_well_typed and rep.irreflexive and rep.transitive
     if args.dot:
-        Path(args.dot).write_text(kripke.frame_to_dot(m.frame) + "\n")
+        Path(args.dot).write_text(kripke.frame_to_dot(m.frame, dict(enumerate(names))) + "\n")
     text = "\n".join(f"{k}: {str(v).lower()}" for k, v in fields.items())
     text += f"\nitf: {str(itf).lower()}"
     _emit(args, text, {**fields, "itf": itf})

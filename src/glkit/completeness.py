@@ -97,7 +97,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import certcheck, kripke
-from .kripke import Frame, Model, _bits, _cached_field
+from .kripke import Frame, Model, _bits
 from .limits import SizeGuardError
 from .syntax import (
     Atom,
@@ -105,6 +105,9 @@ from .syntax import (
     Formula,
     Not,
     _CONSTANT_NAMES,
+    _Record,
+    _cached_field,
+    _set,
     canonical_order,
     closure_steps,
     conjlist,
@@ -117,11 +120,8 @@ MAX_DECISION_BITS = 16
 # A mask as `certificate_to_json` writes it, f"{mask:x}" for a mask >= 0.
 _MASK = re.compile("0|[1-9a-f][0-9a-f]*")
 
-# Records set their fields past their own refusing __setattr__.
-_set = object.__setattr__
 
-
-class ClosureContext:
+class ClosureContext(_Record):
     """The analysis of one target, built from the target alone: its
     subformula closure and its decision formulas (the members whose
     truth value is free: atoms and boxed formulas; all other members are
@@ -129,6 +129,8 @@ class ClosureContext:
     built on first use; deciding reads neither of the first two.
     Immutable; two contexts are equal iff they have the same target. A
     target that is not a Formula raises TypeError."""
+
+    _fields = ("target",)
 
     def __init__(self, target: Formula):
         if not isinstance(target, Formula):
@@ -138,21 +140,8 @@ class ClosureContext:
         _set(self, "closure", closure)
         _set(self, "decisions", tuple(q for q in closure if isinstance(q, (Atom, Box))))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.target is other.target
-
-    def __hash__(self):
-        return hash(self.target)
-
     def __repr__(self):
         return f"ClosureContext({self.target!r})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"closure contexts are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     @_cached_field
     def signed_closure(self) -> tuple[Formula, ...]:
@@ -217,13 +206,15 @@ def closure_context(target: Formula) -> ClosureContext:
     return ClosureContext(target)
 
 
-class World:
+class World(_Record):
     """A world of a target: its closure mask, whose bit i is set iff
     closure formula i holds. It keeps the target's closure context and
     derives `members` on first read. `World(target, members)` takes the
     members in canonical order, one signed member per closure formula,
     and raises ValueError for any other list. Immutable; two worlds are
     equal iff they have the same target and the same mask."""
+
+    _fields = ("context", "_mask")
 
     def __init__(self, target: Formula, members: Sequence[Formula]):
         ctx, members = closure_context(target), tuple(members)
@@ -233,21 +224,14 @@ class World:
         if self.members != members:
             raise ValueError("not one signed member per closure formula, in canonical order")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.context.target is other.context.target and self._mask == other._mask
-
-    def __hash__(self):
-        return hash((self.context.target, self._mask))
+    def _key(self) -> tuple:
+        return self.context.target, self._mask
 
     def __repr__(self):
         return f"World({self.context.target!r}, {self.members!r})"
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"worlds are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
+    def __reduce__(self):
+        return self.context.world, (self._mask,)
 
     @_cached_field
     def members(self) -> tuple[Formula, ...]:
@@ -421,7 +405,7 @@ def saturate(ctx: ClosureContext, w: World) -> bool:
 # Verdicts and certificates
 
 
-class StandardModel:
+class StandardModel(_Record):
     """Countermodel carrier: saturated worlds, the standard relation as
     index pairs into `worlds`, membership valuation left implicit. It
     keeps `context`, its target's cached closure context, found when it
@@ -429,6 +413,8 @@ class StandardModel:
     of target (ValueError otherwise). Immutable; equality, hash and repr
     leave out `context` and the model that `to_model` builds on request
     and keeps."""
+
+    _fields = ("target", "worlds", "rel")
 
     def __init__(self, target: Formula, worlds: tuple[World, ...], rel: tuple[tuple[int, int], ...]):
         if any(w.context.target is not target for w in worlds):
@@ -439,22 +425,6 @@ class StandardModel:
         _set(self, "context", closure_context(target))
         _set(self, "_masks", tuple(w._mask for w in worlds))
         _set(self, "_model", None)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.target, self.worlds, self.rel) == (other.target, other.worlds, other.rel)
-
-    def __hash__(self):
-        return hash((self.target, self.worlds, self.rel))
-
-    def __repr__(self):
-        return f"StandardModel(target={self.target!r}, worlds={self.worlds!r}, rel={self.rel!r})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"standard models are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     def to_model(self) -> Model:
         """The Kripke model: world i is worlds[i], the frame is `rel`, and

@@ -45,6 +45,9 @@ from .syntax import (
     Not,
     Or,
     Truth,
+    _Record,
+    _cached_field,
+    _set,
     closure_steps,
     is_atom_name,
     parse,
@@ -53,9 +56,6 @@ from .syntax import (
 # Single-atom instance of the Lob schema; schema validity on a frame is
 # equivalent to validity of this instance over all valuations.
 LOB_INSTANCE = parse("Box (Box p --> p) --> Box p")
-
-# Records set their fields past their own refusing __setattr__.
-_set = object.__setattr__
 
 
 class _Layout(NamedTuple):
@@ -66,48 +66,15 @@ class _Layout(NamedTuple):
     box_masks: tuple[tuple[int, int], ...]  # (successor mask, own bit), per position
 
 
-class _cached_field:
-    """A value computed from an immutable record on first read and kept
-    on it. It is stored with object.__setattr__, past the record's
-    refusing __setattr__; `functools.cached_property` writes
-    `instance.__dict__` instead, which materialises the instance's dict
-    and makes every later field read of that instance slower."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.compute(obj)
-        _set(obj, self.name, value)
-        return value
-
-
-class Frame:
+class Frame(_Record):
     """Worlds and the relation over them. Immutable; equal worlds and
     relation make equal frames."""
+
+    _fields = ("worlds", "rel")
 
     def __init__(self, worlds: frozenset[int], rel: frozenset[tuple[int, int]]):
         _set(self, "worlds", worlds)
         _set(self, "rel", rel)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.worlds == other.worlds and self.rel == other.rel
-
-    def __hash__(self):
-        return hash((self.worlds, self.rel))
-
-    def __repr__(self):
-        return f"Frame(worlds={self.worlds!r}, rel={self.rel!r})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"frames are immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     @_cached_field
     def _layout(self) -> _Layout:
@@ -489,13 +456,18 @@ def model_from_json(doc: Mapping) -> tuple[Model, tuple[str, ...]]:
     return Model(Frame(frozenset(range(len(names))), rel), val), tuple(names)
 
 
+def _dot_id(text: str) -> str:
+    """text as a quoted DOT ID, with its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def frame_to_dot(fr: Frame, names: Mapping[int, str] | None = None) -> str:
-    name = {w: (names[w] if names else f"w{w}") for w in fr.worlds}
+    name = {w: _dot_id(names[w] if names else f"w{w}") for w in fr.worlds}
     lines = ["digraph frame {"]
     for w in sorted(fr.worlds):
-        lines.append(f'  "{name[w]}";')
+        lines.append(f"  {name[w]};")
     for x, y in sorted(_edges(fr)):
-        lines.append(f'  "{name[x]}" -> "{name[y]}";')
+        lines.append(f"  {name[x]} -> {name[y]};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -506,9 +478,9 @@ def model_to_dot(m: Model, names: Mapping[int, str] | None = None) -> str:
     for w in sorted(m.frame.worlds):
         true_atoms = sorted(a for a, s in m.val.items() if w in s)
         label = name[w] + (": " + " ".join(true_atoms) if true_atoms else "")
-        lines.append(f'  "{name[w]}" [label="{label}"];')
+        lines.append(f"  {_dot_id(name[w])} [label={_dot_id(label)}];")
     for x, y in sorted(_edges(m.frame)):
-        lines.append(f'  "{name[x]}" -> "{name[y]}";')
+        lines.append(f"  {_dot_id(name[x])} -> {_dot_id(name[y])};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -54,7 +54,61 @@ from typing import Iterable
 # The intern table: (class, *arguments) -> a weak reference to the one
 # live node. Each reference's callback removes its own entry.
 _NODES: dict[tuple, _Ref] = {}
+# Immutable objects set their fields past their own refusing __setattr__.
 _set = object.__setattr__
+
+
+class _Record:
+    """Base of glkit's immutable record classes. A record is equal to a
+    record of its own class with an equal `_key()`, by default its
+    `_fields` in order, hashes as that key, and prints as its fields.
+    Fields are set with `_set`; assigning or deleting one raises
+    AttributeError. A copy or an unpickled record is built again from its
+    key, so it keeps no lazily computed field."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} records are immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class _cached_field:
+    """A value computed from an immutable record on first read and kept
+    on it. It is stored with `_set`, past the record's refusing
+    __setattr__; the cached property of `functools` writes
+    `instance.__dict__` instead, which materialises the instance's dict
+    and makes every later field read of that instance slower."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        _set(obj, self.name, value)
+        return value
 
 
 class _Ref(weakref.ref):

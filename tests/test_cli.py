@@ -405,6 +405,16 @@ class TestFrameCheck:
             '"validates_lob": false, "itf": false}\n'
         )
 
+    def test_dot_names_the_documents_worlds(self, tmp_path, capsys):
+        # The names check-model prints, with DOT's quote and backslash escaped.
+        odd = 'v"x\\'
+        path = write_model(tmp_path, {"worlds": ["u", odd], "rel": [["u", odd]]})
+        dot = tmp_path / "frame.dot"
+        assert main(["frame-check", path, "--dot", str(dot)]) == 0
+        assert dot.read_text() == 'digraph frame {\n  "u";\n  "v\\"x\\\\";\n  "u" -> "v\\"x\\\\";\n}\n'
+        assert main(["check-model", path, "Box False"]) == 1
+        assert "fails at: u" in capsys.readouterr().out
+
     def test_itf_read_off_the_report(self, tmp_path, capsys, monkeypatch):
         # The same exit codes and output with kripke.is_itf unusable: the
         # command reads its verdict from frame_report's fields.

@@ -1,6 +1,8 @@
-"""glkit's record classes: value semantics, immutability and repr for
-each, and an import that leaves `dataclasses` unloaded."""
+"""glkit's record classes: value semantics, immutability, repr and
+copies for each, and an import that leaves `dataclasses` unloaded."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -83,11 +85,47 @@ def test_fields_cannot_be_assigned(name):
         rec.extra = None
 
 
+# The reprs of the records whose fields print the same in every process.
+REPRS = {
+    "Frame": "Frame(worlds=frozenset({0, 1}), rel=frozenset({(0, 1)}))",
+    "ClosureContext": "ClosureContext(parse('Box p --> p'))",
+    "World": "World(parse('Box p --> p'), (parse('p'), parse('Not Box p'), parse('Box p --> p')))",
+    "StandardModel": (
+        "StandardModel(target=parse('Box p --> p'), worlds=(World(parse('Box p --> p'), "
+        "(parse('Not p'), parse('Box p'), parse('Not (Box p --> p)'))),), rel=((0, 1),))"
+    ),
+}
+
+
 @pytest.mark.parametrize("name", RECORDS)
 def test_repr_names_the_class(name):
     rec = RECORDS[name]()
     assert type(rec).__name__ == name
     assert repr(rec).startswith(name + "(")
+    if name in REPRS:
+        assert repr(rec) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_pickle_and_deepcopy_round_trip(name):
+    rec = RECORDS[name]()
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+        assert type(twin) is type(rec)
+        assert twin == rec
+        if name != "Model":
+            assert hash(twin) == hash(rec)
+
+
+def test_verdict_round_trips_after_to_model():
+    # to_model() keeps a model with a read-only valuation on the verdict;
+    # a copy is built again from its fields and keeps none.
+    v = decide(parse("Box p --> p"))
+    m = v.model.to_model()
+    for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert twin == v
+        assert twin.model._model is None
+        assert twin.model.to_model() == m
+        assert twin.model.context is v.model.context
 
 
 def test_standard_model_equality_ignores_context():
@@ -106,6 +144,13 @@ def test_cached_properties_are_computed_once():
     fr = _frame()
     assert "_layout" not in vars(fr)
     assert fr._layout is fr._layout
+    info = LemmaInfo("imp_refl", ("p",), "p --> p", _build)
+    ctx = ClosureContext(parse("Box p --> p"))
+    for rec, field in [(info, "statement"), (info, "program"),
+                       (ctx, "engine"), (ctx, "closure_terms")]:
+        assert field not in vars(rec)
+        value = getattr(rec, field)
+        assert vars(rec)[field] is value is getattr(rec, field)
 
 
 def test_lemma_entries_compare_by_fields():
