@@ -667,6 +667,14 @@ def _b_iff_sym(b: ProofBuilder, p: Formula, q: Formula) -> int:
     return _mp_under(b, partial, i1)
 
 
+def _b_box_imp_distr(b: ProofBuilder, p: Formula, q: Formula) -> int:
+    return b.axiom("K", p, q)
+
+
+def _b_lob(b: ProofBuilder, p: Formula) -> int:
+    return b.axiom("GL", p)
+
+
 def _b_box_true_iff(b: ProofBuilder) -> int:
     t = _b_true(b)
     bt = b.nec(t)
@@ -803,9 +811,8 @@ LEMMAS: dict[str, LemmaInfo] = {
         ("or_elim_th", "p q r", "(p --> r) --> (q --> r) --> (p || q --> r)", _b_or_elim),
         ("iff_refl", "p", "p <-> p", _b_iff_refl),
         ("iff_sym_th", "p q", "(p <-> q) --> (q <-> p)", _b_iff_sym),
-        ("box_imp_distr", "p q", "Box (p --> q) --> Box p --> Box q",
-         lambda b, p, q: b.axiom("K", p, q)),
-        ("lob", "p", "Box (Box p --> p) --> Box p", lambda b, p: b.axiom("GL", p)),
+        ("box_imp_distr", "p q", "Box (p --> q) --> Box p --> Box q", _b_box_imp_distr),
+        ("lob", "p", "Box (Box p --> p) --> Box p", _b_lob),
         ("box_true_iff", "", "Box True <-> True", _b_box_true_iff),
         ("box_and_split_th", "p q", "Box (p && q) --> Box p && Box q", _b_box_and_split),
         ("box_and_join_th", "p q", "Box p && Box q --> Box (p && q)", _b_box_and_join),

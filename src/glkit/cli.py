@@ -2,7 +2,8 @@
 
 Exit codes: 0 theorem / valid / check passed, 1 non-theorem / check
 failed, 2 usage or input errors, 3 size-guard rejection (a formula
-nested deeper than `limits.MAX_DEPTH` included), 4 internal error: any
+argument or proof axiom nested deeper than `limits.MAX_DEPTH`
+included), 4 internal error: any
 unexpected exception, reported in one line on stderr, and a failed
 re-check of `decide --cert`, which reloads and verifies its certificate
 before writing it and writes nothing if that fails. With --json a
@@ -12,8 +13,10 @@ with --json.
 Formula arguments are taken inline, or from a file with @path.
 
 Every library module past `syntax` and `limits` is imported inside the
-commands that use it: `parse` loads no other, `check-model` and
-`frame-check` add `kripke`, `decide` and `check-cert` add `completeness`
+commands that use it: `parse` loads no other, `check-cert` adds only
+`certcheck`, which reads and checks the document without parsing a
+formula, `check-model` and `frame-check` add `kripke` (and with it
+`certcheck`, which reads model documents), `decide` adds `completeness`
 (and with it `kripke` and `certcheck`), and only the commands that use
 the proof kernel (`calculus`) or `bisim` load those.
 """
@@ -127,13 +130,9 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    from .completeness import _certificate_from_json, certificate_problem
+    from . import certcheck
 
-    # The loader orders the target's closure and the verifier evaluates
-    # it on the model, so the depth bound applies where the loader parses
-    # the target, its one parse, before either runs.
-    v = _certificate_from_json(_load_json(args.cert), lambda text: check_depth(parse(text)))
-    reason = certificate_problem(v)
+    reason = certcheck.problem(*certcheck.read(_load_json(args.cert)))
     if reason is None:
         _emit(args, "certificate verified", {"ok": True})
         return 0

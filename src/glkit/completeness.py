@@ -77,20 +77,18 @@ text, its closure as shared terms written from `syntax.closure_steps`,
 the witness, and each world's mask in hex. The writer reads the model
 part off `rel` and the masks' atom bits, and the printed target and the
 closure table off the context, where each is built once. The loader
-checks the model part's shape with `kripke.model_from_json`, which
-builds a short-lived Kripke `Model` of which the loader keeps only the
-relation and the valuation; it parses the target only, builds mask
-worlds and compares `val` with the masks' atom bits as ints. The writer
-builds no Kripke model, and `StandardModel` builds one only through
-`to_model()`, when a caller asks. A verdict and a certificate's round
-trip build neither the signed closure nor `pairs`, and in a fresh
-process the round trip builds no engine either.
+takes the document as `certcheck.read` checks it, builds the target
+from the closure table, children first, and requires the table to be
+the target's `closure_terms`; it parses nothing and builds no Kripke
+model. `StandardModel` builds one only through `to_model()`, when a
+caller asks. A verdict and a certificate's round trip build neither the
+signed closure nor `pairs`, and in a fresh process the round trip builds
+no engine either.
 """
 
 from __future__ import annotations
 
-import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import compress
 from types import MappingProxyType
@@ -104,21 +102,21 @@ from .syntax import (
     Box,
     Formula,
     Not,
+    _CONNECTIVES,
     _CONSTANT_NAMES,
+    _CONSTANTS,
     _Record,
     _cached_field,
     _set,
     canonical_order,
     closure_steps,
     conjlist,
-    parse,
     print_formula,
     subformulas,
 )
 
 MAX_DECISION_BITS = 16
-# A mask as `certificate_to_json` writes it, f"{mask:x}" for a mask >= 0.
-_MASK = re.compile("0|[1-9a-f][0-9a-f]*")
+_CONNECTIVE = {cls.__name__: cls for cls, _, _ in _CONNECTIVES.values()}
 
 
 class ClosureContext(_Record):
@@ -142,6 +140,10 @@ class ClosureContext(_Record):
 
     def __repr__(self):
         return f"ClosureContext({self.target!r})"
+
+    def __reduce__(self):
+        # A copy is the cached context, which the copied worlds share.
+        return closure_context, (self.target,)
 
     @_cached_field
     def signed_closure(self) -> tuple[Formula, ...]:
@@ -592,54 +594,21 @@ def certificate_to_json(v: Countermodel) -> dict:
 
 
 def certificate_from_json(doc: Mapping) -> Countermodel:
-    """Load a certificate as `certificate_to_json` writes it. `closure`
-    is compared with the parsed target's `closure_terms`, not parsed.
-    A document of the wrong shape raises ValueError naming the bad field."""
-    return _certificate_from_json(doc, parse)
-
-
-def _certificate_from_json(doc: Mapping, read: Callable[[str], Formula]) -> Countermodel:
-    """`certificate_from_json` with `read` in place of `parse` for the
-    target, its one parse, so a caller can bound the formula there."""
-    m, names = kripke.model_from_json(doc)
-    target, witness, closure, truth = (
-        doc.get(key) for key in ("target", "witness", "closure", "world_truth")
-    )
-    if not isinstance(target, str):
-        raise ValueError("certificate field 'target': expected a formula string")
-    if not isinstance(witness, str):
-        raise ValueError("certificate field 'witness': expected a world name")
-    if not isinstance(truth, Mapping):
-        raise ValueError("certificate field 'world_truth': expected an object of hex masks")
-    f = read(target)
-    ctx = closure_context(f)
-    # An equal table may still hold true or 1.0 for a position.
-    if closure != ctx.closure_terms or any(
-        type(c) is not int for t in closure if type(t) is list for c in t[1:]
-    ):
+    """Load a certificate as `certificate_to_json` writes it: checked by
+    `certcheck.read`, its target built from the closure table, which must
+    be the target's `closure_terms`. A document of the wrong shape raises
+    ValueError naming the bad field."""
+    nodes, masks, rel, witness = certcheck.read(doc)
+    fs: list[Formula] = []
+    for t in nodes:
+        if type(t) is str:
+            fs.append(_CONSTANTS.get(t) or Atom(t))
+        elif len(t) == 2:
+            fs.append(_CONNECTIVE[t[0]](fs[t[1]]))
+        else:
+            fs.append(_CONNECTIVE[t[0]](fs[t[1]], fs[t[2]]))
+    ctx = closure_context(fs[-1])
+    if nodes != ctx.closure_terms:
         raise ValueError("certificate field 'closure': not the target's closure as shared terms")
-    n, worlds = len(closure), []
-    for nm in names:
-        s = truth.get(nm)
-        if not (type(s) is str and _MASK.fullmatch(s)) or (x := int(s, 16)) >> n:
-            raise ValueError(
-                f"certificate field 'world_truth': world {nm!r} needs a lowercase hex "
-                f"mask with no prefix, below 2**{n}; got {s!r:.40}"
-            )
-        worlds.append(ctx.world(x))
-    if len(truth) > len(names):
-        extra = next(nm for nm in truth if nm not in names)
-        raise ValueError(f"certificate field 'world_truth': undeclared world {extra!r}")
-    sm = StandardModel(f, tuple(worlds), tuple(sorted(m.frame.rel)))
-    # Each atom's worlds as an int, from the document and from the masks.
-    column = dict(ctx.atom_positions)
-    for a in sorted(m.val.keys() | column):
-        j = column.get(a)
-        held = 0 if j is None else sum(1 << i for i, w in enumerate(worlds) if w._mask >> j & 1)
-        if held != sum(1 << i for i in m.val.get(a, ())):
-            raise ValueError(
-                f"valuation of {a!r} disagrees with the world contents"
-            )
-    if witness not in names:
-        raise ValueError(f"undeclared witness world: {witness!r}")
-    return Countermodel(sm, worlds[names.index(witness)])
+    worlds = tuple(map(ctx.world, masks))
+    return Countermodel(StandardModel(ctx.target, worlds, tuple(sorted(rel))), worlds[witness])

@@ -25,6 +25,9 @@ point-generated subframes (Blackburn, de Rijke & Venema, *Modal Logic*,
 with no more worlds, and validity is invariant under isomorphism. So the
 4 rooted shapes of at most 3 worlds (9 of at most 4) decide what the 23
 labelled ITF frames of at most 3 worlds (242 of at most 4) decide.
+
+`model_from_json` wraps `certcheck.read_model`, so model documents and
+certificates have their shape checked in one place.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .syntax import (
     _cached_field,
     _set,
     closure_steps,
-    is_atom_name,
     parse,
 )
 
@@ -410,49 +412,15 @@ def model_to_json(m: Model, names: Mapping[int, str] | None = None) -> dict:
     }
 
 
-def _world_ids(index: Mapping[str, int], field: str, names) -> list[int]:
-    try:
-        return [index[nm] for nm in names]
-    except KeyError as e:
-        raise ValueError(f"model field {field!r}: undeclared world name {e}") from None
-    except TypeError:
-        raise ValueError(f"model field {field!r}: world names must be strings") from None
-
-
 def model_from_json(doc: Mapping) -> tuple[Model, tuple[str, ...]]:
     """Load a model, mapping world names to ids 0..n-1 in listing order.
 
     Returns the model and the name table (index = world id). A document
     of the wrong shape raises ValueError naming the bad field.
     """
-    if not isinstance(doc, Mapping):
-        raise ValueError("model: expected a JSON object")
-    names = doc.get("worlds")
-    if not isinstance(names, (list, tuple)) or not all(
-        isinstance(nm, str) for nm in names
-    ):
-        raise ValueError("model field 'worlds': expected a list of world names")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate world names")
-    index = {nm: i for i, nm in enumerate(names)}
-    pairs = doc.get("rel", [])
-    if not isinstance(pairs, (list, tuple)) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 for e in pairs
-    ):
-        raise ValueError("model field 'rel': expected a list of [from, to] name pairs")
-    ends = _world_ids(index, "rel", [nm for e in pairs for nm in e])
-    val_doc = doc.get("val", {})
-    if not isinstance(val_doc, Mapping) or not all(
-        isinstance(a, str) and isinstance(ws, (list, tuple)) for a, ws in val_doc.items()
-    ):
-        raise ValueError(
-            "model field 'val': expected an object mapping atoms to lists of world names"
-        )
-    for a in val_doc:
-        if not is_atom_name(a):
-            raise ValueError(f"model field 'val': no formula can name the atom {a!r}")
-    val = {a: frozenset(_world_ids(index, "val", ws)) for a, ws in val_doc.items()}
-    rel = frozenset(zip(ends[::2], ends[1::2]))
+    from . import certcheck  # loaded with the first document, not for the oracles
+
+    names, rel, val = certcheck.read_model(doc)
     return Model(Frame(frozenset(range(len(names))), rel), val), tuple(names)
 
 

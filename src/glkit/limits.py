@@ -6,8 +6,9 @@ truncating.
 """
 
 #: The deepest nesting of connectives in a formula the command line
-#: accepts (`Not Not p` has depth 2). The library itself walks formulas
-#: with explicit stacks and has no such bound.
+#: parses, a formula argument or a proof's axiom (`Not Not p` has depth
+#: 2). `check-cert` parses no formula and has no such bound, and the
+#: library itself walks formulas with explicit stacks.
 MAX_DEPTH = 1000
 
 

@@ -13,8 +13,9 @@ rooted-frame oracle is checked against, and the `extensions`-based
 certificate check that the mask-based one is checked against, and the
 edge-scan frame predicates that the mask-based ones are checked against,
 the greedy completion by `consistent` that the engine's extension is
-checked against, and the selection from worlds and the standard relation
-that `decide`'s countermodels are checked against."""
+checked against, the selection from worlds and the standard relation
+that `decide`'s countermodels are checked against, and a recorder of the
+texts that `parse` reads."""
 
 from __future__ import annotations
 
@@ -22,9 +23,11 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
+from glkit import syntax
 from glkit.bisim import BisimRelation, _atom_agree, _zigzag_ok
 from glkit.calculus import AxiomStep, MpStep, Proof
 from glkit.completeness import (
@@ -454,3 +457,15 @@ def reference_acyclic(fr: Frame) -> bool:
                 color[nxt] = GRAY
                 stack.append((nxt, iter(succ.get(nxt, ()))))
     return True
+
+
+def count_parses(monkeypatch) -> list[str]:
+    """The texts that `parse` reads from now on, however a module imported
+    it: every call tokenises its text through `syntax._TOKEN`."""
+    texts: list[str] = []
+    pattern = syntax._TOKEN
+    monkeypatch.setattr(syntax, "_TOKEN", SimpleNamespace(
+        findall=lambda text: texts.append(text) or pattern.findall(text),
+        finditer=pattern.finditer,
+    ))
+    return texts

@@ -2,11 +2,17 @@ import json
 
 import pytest
 
-from glkit import cli, completeness, kripke, syntax
+from glkit import completeness, kripke, syntax
 from glkit.cli import main
-from glkit.completeness import certificate_from_json, verify_certificate
+from glkit.completeness import (
+    certificate_from_json,
+    certificate_to_json,
+    decide,
+    verify_certificate,
+)
 from glkit.limits import MAX_DEPTH
-from helpers import imp_read_as_or
+from glkit.syntax import parse
+from helpers import count_parses, imp_read_as_or
 
 LOB = "Box (Box p --> p) --> Box p"
 
@@ -163,29 +169,27 @@ class TestCheckCert:
         assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
         assert "undeclared witness world: 'w99'" in capsys.readouterr().err
 
-    def test_target_nested_too_deeply_exit_3(self, tmp_path, capsys, cert_doc):
+    def test_deep_target_has_no_depth_bound(self, tmp_path, capsys, cert_doc):
+        # Nothing check-cert runs recurses, so it takes a certificate past
+        # MAX_DEPTH, and a target text that is not the closure's exits 2.
+        deep = certificate_to_json(decide(parse("Not " * (MAX_DEPTH + 200) + "p")))
+        assert main(["check-cert", write_model(tmp_path, deep)]) == 0
         cert_doc["target"] = "Not " * (MAX_DEPTH + 1) + "p"
         capsys.readouterr()
-        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 3
-        assert "nested too deeply" in capsys.readouterr().err
+        assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
+        assert "'closure'" in capsys.readouterr().err
 
     def test_unparsable_target_exit_2(self, tmp_path, capsys, cert_doc):
+        # The target is compared as text with the closure's root.
         cert_doc["target"] = "Box p -->"
         capsys.readouterr()
         assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 2
-        assert "parse error" in capsys.readouterr().err
+        assert "certificate field 'closure'" in capsys.readouterr().err
 
-    def test_target_parsed_once(self, tmp_path, monkeypatch, cert_doc):
-        # The depth bound and the loader share one parse of the target.
-        calls = []
-        for module in (cli, completeness, syntax):
-            def counted(text, real=module.parse):
-                calls.append(text)
-                return real(text)
-
-            monkeypatch.setattr(module, "parse", counted)
+    def test_target_is_not_parsed(self, tmp_path, monkeypatch, cert_doc):
+        texts = count_parses(monkeypatch)
         assert main(["check-cert", write_model(tmp_path, cert_doc)]) == 0
-        assert calls == [cert_doc["target"]]
+        assert texts == []
 
 
 class TestCheckModel:

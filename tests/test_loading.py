@@ -1,8 +1,8 @@
 """What each entry point loads, each checked in a fresh interpreter:
 `import glkit` loads no submodule, the package resolves its public names
 on first access, `parse` loads only `syntax` and `limits` besides `cli`,
-and only the commands that use the proof kernel or bisimulation load
-`calculus` or `bisim`."""
+`check-cert` adds only `certcheck`, and only the commands that use the
+proof kernel or bisimulation load `calculus` or `bisim`."""
 
 import json
 import subprocess
@@ -71,14 +71,16 @@ def test_decide_side_commands_load_neither_kernel_nor_bisim(command, files):
     "argv, modules",
     [
         (["parse", "p && q"], set()),
-        (["check-model", "MODEL", "Box p"], {"glkit.kripke"}),
-        (["frame-check", "MODEL"], {"glkit.kripke"}),
+        (["check-model", "MODEL", "Box p"], {"glkit.kripke", "glkit.certcheck"}),
+        (["frame-check", "MODEL"], {"glkit.kripke", "glkit.certcheck"}),
         (["decide", "Box p --> p"], {"glkit.kripke", "glkit.certcheck", "glkit.completeness"}),
+        # The checker reads the document itself and parses no formula.
+        (["check-cert", "CERT"], {"glkit.certcheck"}),
     ],
-    ids=["parse", "check-model", "frame-check", "decide"],
+    ids=["parse", "check-model", "frame-check", "decide", "check-cert"],
 )
 def test_each_command_loads_only_what_it_uses(argv, modules, files):
-    argv = [files["model"] if a == "MODEL" else a for a in argv]
+    argv = [{"MODEL": files["model"], "CERT": files["cert"]}.get(a, a) for a in argv]
     base = {"glkit", "glkit.cli", "glkit.syntax", "glkit.limits"}
     assert loaded_after(argv) == base | modules
 

@@ -18,6 +18,7 @@ from glkit.completeness import (
     StandardModel,
     Theorem,
     World,
+    closure_context,
     decide,
 )
 from glkit.kripke import Frame, FrameReport, Model
@@ -126,6 +127,22 @@ def test_verdict_round_trips_after_to_model():
         assert twin.model._model is None
         assert twin.model.to_model() == m
         assert twin.model.context is v.model.context
+
+
+def test_unpickled_worlds_share_the_cached_context():
+    v = decide(parse("Box p --> p"))
+    v2 = pickle.loads(pickle.dumps(v))
+    assert v2 == v
+    assert v2.witness.context is v2.model.context is closure_context(v.model.target)
+    assert all(w.context is v2.model.context for w in v2.model.worlds)
+
+
+@pytest.mark.parametrize("name", LEMMAS)
+def test_every_lemma_entry_round_trips(name):
+    info = LEMMAS[name]
+    for twin in (pickle.loads(pickle.dumps(info)), copy.deepcopy(info)):
+        assert twin == info and hash(twin) == hash(info)
+        assert twin.build is info.build
 
 
 def test_standard_model_equality_ignores_context():
